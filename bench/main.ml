@@ -86,9 +86,16 @@ let print_sweep ~rate_label ~rate rows =
         (rate ~n ~lb) verified)
     rows
 
+(* the whole pair space of [mode] through the one verdict driver *)
+let verdicts_all ?pool inc mode =
+  Framework.verdicts ?pool inc mode ~lo:0
+    ~hi:(Framework.pair_count inc.Framework.scratch mode)
+
 let quick_verify ?(samples = 8) fam =
-  let failures, total = Framework.verify_random ~seed:77 ~samples fam in
-  Printf.sprintf "%d/%d ok" (total - failures) total
+  let mode = Framework.Sampled { seed = 77; samples } in
+  let r = verdicts_all (Framework.of_family fam) mode in
+  let total = Array.length r.Framework.verdicts in
+  Printf.sprintf "%d/%d ok" (total - r.Framework.failures) total
 
 (* ------------------------------------------------------------------ *)
 (* E1: exact MDS, Ω̃(n²)                                               *)
@@ -662,13 +669,12 @@ let all_experiments =
    a 1-worker pool.  Results must be bitwise identical (the determinism
    contract); the ratio of wall times is the parallel speedup.  The
    exhaustive sweep is capped at K ≤ 10 by the framework, so the k=4 MDS
-   family (K = 16) is measured through verify_random.
+   family (K = 16) is measured on a sampled pair space.
 
-   Exhaustive sweeps run through [Framework.exhaustive_verdicts] (same
-   cost as [verify_exhaustive], but keeping the per-pair trace): the
-   failure count is derived from the expected f(x,y) array, and each
-   incremental "<id>-inc" entry is differenced pair by pair against its
-   from-scratch counterpart's trace.  The workload is the registry's
+   Every sweep runs through [Framework.verdicts], which keeps the
+   per-pair trace and counts failures against f(x,y) in the same pass;
+   each incremental "<id>-inc" entry is differenced pair by pair against
+   its from-scratch counterpart's trace.  The workload is the registry's
    incremental slice — every family ported to the core/apply-inputs
    split is benched scratch-vs-incremental with no per-family wiring
    here.  [--smoke] drops the slow from-scratch sweeps (so those -inc
@@ -709,12 +715,6 @@ let solver_totals = function
 
 let verify_benches ~smoke () =
   let pool = Pool.default () and pool1 = Pool.create ~jobs:1 () in
-  (* expected per-pair answers, in exhaustive_verdicts order *)
-  let expected fam =
-    let xs = Array.of_list (Bits.all fam.Framework.input_bits) in
-    let n = Array.length xs in
-    Array.init (n * n) (fun i -> fam.Framework.f xs.(i / n) xs.(i mod n))
-  in
   let entry ~name ~pairs ~wall ~wall1 ?(hits = 0) ?(misses = 0) ?vs_scratch
       ?diff_ok () =
     let vobs = obs_snap () in
@@ -735,46 +735,34 @@ let verify_benches ~smoke () =
   in
   (* from-scratch traces, by name, for the -inc differentials *)
   let traces : (string, bool array * float) Hashtbl.t = Hashtbl.create 8 in
-  let bench_scratch ~name fam =
+  (* One exhaustive sweep on the CH_JOBS pool and on the 1-worker pool.
+     A scratch entry records its trace; an -inc entry (given its
+     [scratch_name]) is differenced against that trace. *)
+  let bench ~name ?scratch_name inc =
     obs_fresh ();
-    let v, wall = timed (fun () -> Framework.exhaustive_verdicts ~pool fam) in
-    let v1, wall1 = timed (fun () -> Framework.exhaustive_verdicts ~pool:pool1 fam) in
-    if v <> v1 then
-      failwith (Printf.sprintf "verify bench %s: CH_JOBS result mismatch" name);
-    let exp = expected fam in
-    Array.iteri
-      (fun i e ->
-        if v.(i) <> e then
-          failwith (Printf.sprintf "verify bench %s: failure at pair %d" name i))
-      exp;
-    Hashtbl.replace traces name (v, wall);
-    entry ~name ~pairs:(Array.length v) ~wall ~wall1 ()
-  in
-  let bench_inc ~name ~scratch_name inc =
-    obs_fresh ();
-    let (v, stats), wall =
-      timed (fun () -> Framework.exhaustive_verdicts_inc ~pool inc)
+    let sweep pool =
+      timed (fun () -> verdicts_all ~pool inc Framework.Exhaustive)
     in
-    let (v1, _), wall1 =
-      timed (fun () -> Framework.exhaustive_verdicts_inc ~pool:pool1 inc)
-    in
-    if v <> v1 then
+    let r, wall = sweep pool in
+    let r1, wall1 = sweep pool1 in
+    let v = r.Framework.verdicts and stats = r.Framework.stats in
+    if v <> r1.Framework.verdicts then
       failwith (Printf.sprintf "verify bench %s: CH_JOBS result mismatch" name);
-    let exp = expected inc.Framework.scratch in
-    Array.iteri
-      (fun i e ->
-        if v.(i) <> e then
-          failwith (Printf.sprintf "verify bench %s: failure at pair %d" name i))
-      exp;
+    if r.Framework.failures > 0 then
+      failwith
+        (Printf.sprintf "verify bench %s: %d failures" name r.Framework.failures);
     let vs_scratch, diff_ok =
-      match Hashtbl.find_opt traces scratch_name with
-      | Some (sv, swall) -> (Some (swall /. wall), Some (sv = v))
-      | None -> (None, None)
+      match scratch_name with
+      | None ->
+          Hashtbl.replace traces name (v, wall);
+          (None, None)
+      | Some sn -> (
+          match Hashtbl.find_opt traces sn with
+          | Some (sv, swall) -> (Some (swall /. wall), Some (sv = v))
+          | None -> (None, None))
     in
-    (match diff_ok with
-    | Some false ->
-        failwith (Printf.sprintf "verify bench %s: differential mismatch" name)
-    | _ -> ());
+    if diff_ok = Some false then
+      failwith (Printf.sprintf "verify bench %s: differential mismatch" name);
     entry ~name ~pairs:(Array.length v) ~wall ~wall1
       ~hits:stats.Framework.cache_hits ~misses:stats.Framework.cache_misses
       ?vs_scratch ?diff_ok ()
@@ -803,13 +791,14 @@ let verify_benches ~smoke () =
         let scratch_name = Printf.sprintf "%s-k%d-exhaustive" id k in
         let scratch =
           if smoke && List.mem id slow_scratch then []
-          else [ bench_scratch ~name:scratch_name (s.Registry.scratch k) ]
+          else
+            [ bench ~name:scratch_name (Framework.of_family (s.Registry.scratch k)) ]
         in
         let inc =
           match s.Registry.incremental with
           | None -> []
           | Some inc ->
-              [ bench_inc ~name:(scratch_name ^ "-inc") ~scratch_name (inc k) ]
+              [ bench ~name:(scratch_name ^ "-inc") ~scratch_name (inc k) ]
         in
         scratch @ inc)
       (Registry.filter ~incremental:true (reg ()))
@@ -829,11 +818,9 @@ let verify_benches ~smoke () =
               Pool.parallel_chunks p ~lo:0 ~hi:(128 * 16) (fun lo hi ->
                   let bad = ref 0 in
                   for i = lo to hi - 1 do
-                    if
-                      not
-                        (Framework.verify_pair fam
-                           xs.(257 * (i / 16))
-                           xs.(i mod 16))
+                    let x = xs.(257 * (i / 16)) and y = xs.(i mod 16) in
+                    if fam.Framework.predicate (fam.Framework.build x y)
+                       <> fam.Framework.f x y
                     then incr bad
                   done;
                   !bad)
@@ -842,8 +829,12 @@ let verify_benches ~smoke () =
       in
       let k4_random =
         bench_counts ~name:"mds-k4-random-64" (fun p ->
-            Framework.verify_random ~pool:p ~seed:77 ~samples:64
-              (fam_of "mds" ~k:4))
+            let r =
+              verdicts_all ~pool:p
+                (Framework.of_family (fam_of "mds" ~k:4))
+                (Framework.Sampled { seed = 77; samples = 64 })
+            in
+            (r.Framework.failures, Array.length r.Framework.verdicts))
       in
       [ k4_block; k4_random ]
     end
@@ -906,7 +897,7 @@ let reduction_benches ~smoke () =
    crash-and-resume cycle in the same store, and — full runs only — the
    large-k sampled workload.  Every merged verdict stream is differenced
    bit-for-bit against the single-process scratch oracle
-   ([Framework.exhaustive_verdicts] / [sampled_verdicts]) before the
+   ([Sweep.oracle]) before the
    entry is recorded, the same discipline as the -inc entries above.
    The shard counts are pinned (no CH_JOBS / machine dependence) and
    [--smoke] keeps only the two tiny k=2 exhaustive entries, so the CI
@@ -1084,15 +1075,8 @@ let serve_benches ~smoke () =
     let pairs =
       match Jsonx.mem "pairs" (body r0) with Some (Jsonx.Int n) -> n | _ -> 0
     in
-    let fam = fam_of ~k family in
-    let mode =
-      match vmode with
-      | Protocol.Exhaustive -> Ch_sweep.Shard.Exhaustive
-      | Protocol.Sampled { seed; samples } ->
-          Ch_sweep.Shard.Sampled { seed; samples }
-    in
     let oracle_digest =
-      Ch_sweep.Sweep.digest (Ch_sweep.Sweep.oracle fam ~mode)
+      Ch_sweep.Sweep.digest (Ch_sweep.Sweep.oracle (fam_of ~k family) ~mode:vmode)
     in
     let digest_ok =
       List.for_all (fun (r, _) -> digest r = oracle_digest) ((r0, cold) :: repeats)
@@ -1127,12 +1111,6 @@ let serve_benches ~smoke () =
   Server.stop server;
   entries
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
   let ts = int_of_float (Unix.time ()) in
   let file = Printf.sprintf "BENCH_%d.json" ts in
@@ -1144,7 +1122,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
   List.iteri
     (fun i (name, wall) ->
       Printf.bprintf buf "    {\"name\": \"%s\", \"wall_s\": %.6f}%s\n"
-        (json_escape name) wall
+        (Obs.json_escape name) wall
         (if i < List.length experiment_times - 1 then "," else ""))
     experiment_times;
   Buffer.add_string buf "  ],\n";
@@ -1156,7 +1134,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
          \"pairs_per_s\": %.1f, \"wall_s_jobs1\": %.6f, \
          \"speedup_vs_jobs1\": %.3f, \"cache_hits\": %d, \
          \"cache_misses\": %d%s%s}%s\n"
-        (json_escape e.vname) e.vpairs e.vwall
+        (Obs.json_escape e.vname) e.vpairs e.vwall
         (float_of_int e.vpairs /. e.vwall)
         e.vwall1
         (e.vwall1 /. e.vwall)
@@ -1190,7 +1168,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
          \"budget_max\": %d, \"bits_per_round\": %.2f, \"cc_bits\": %d, \
          \"lb_rounds\": %.3f, \"transcript_differential_ok\": %b, \
          \"decisions_ok\": %b, \"within_budget\": %b}%s\n"
-        (json_escape r.rname) rep.rep_pairs r.rskipped r.rwall
+        (Obs.json_escape r.rname) rep.rep_pairs r.rskipped r.rwall
         (float_of_int rep.rep_pairs /. r.rwall)
         rep.rep_parties rep.rep_cut rep.rep_bandwidth rep.rep_rounds_max
         rep.rep_cut_bits_max
@@ -1208,7 +1186,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
          \"wall_s\": %.6f, \"pairs_per_s\": %.1f, \"shards_completed\": %d, \
          \"shards_resumed\": %d, \"shards_recomputed\": %d, \
          \"artifacts_corrupt\": %d, \"differential_ok\": %b}%s\n"
-        (json_escape e.sname) e.spairs e.snshards e.swall
+        (Obs.json_escape e.sname) e.spairs e.snshards e.swall
         (float_of_int e.spairs /. e.swall)
         e.scompleted e.sresumed e.srecomputed e.scorrupt e.sdiff_ok
         (if i < List.length sweep - 1 then "," else ""))
@@ -1221,7 +1199,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
         "    {\"name\": \"%s\", \"pairs\": %d, \"cold_s\": %.6f, \
          \"warm_s\": %.6f, \"warm_speedup\": %.2f, \"warm_hit\": %b, \
          \"digest_ok\": %b}%s\n"
-        (json_escape e.svname) e.svpairs e.svcold_s e.svwarm_s
+        (Obs.json_escape e.svname) e.svpairs e.svcold_s e.svwarm_s
         (e.svcold_s /. e.svwarm_s)
         e.svwarm_hit e.svdigest_ok
         (if i < List.length serve - 1 then "," else ""))
@@ -1243,7 +1221,7 @@ let write_json ~experiment_times ~verify ~reduction ~sweep ~serve =
   List.iteri
     (fun i (name, rep) ->
       Printf.bprintf buf "    {\"family\": \"%s\", \"report\":\n%s    }%s\n"
-        (json_escape name)
+        (Obs.json_escape name)
         (Obs.report_json rep)
         (if i < List.length obs_entries - 1 then "," else ""))
     obs_entries;

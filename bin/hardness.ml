@@ -107,7 +107,7 @@ let verify_cmd =
     | Some s ->
         let fam = s.Registry.scratch k in
         let work () =
-          let failures, total =
+          let inc =
             match (incremental, s.Registry.incremental) with
             | true, None ->
                 Printf.eprintf
@@ -115,13 +115,16 @@ let verify_cmd =
                    --incremental\n"
                   name;
                 exit 1
-            | true, Some inc ->
-                let inc = inc k in
-                if exhaustive then fst (Framework.verify_exhaustive_inc inc)
-                else fst (Framework.verify_random_inc ~seed:11 ~samples inc)
-            | false, _ ->
-                if exhaustive then Framework.verify_exhaustive fam
-                else Framework.verify_random ~seed:11 ~samples fam
+            | true, Some inc -> inc k
+            | false, _ -> Framework.of_family fam
+          in
+          let mode =
+            if exhaustive then Framework.Exhaustive
+            else Framework.Sampled { seed = 11; samples }
+          in
+          let total = Framework.pair_count fam mode in
+          let failures =
+            (Framework.verdicts inc mode ~lo:0 ~hi:total).Framework.failures
           in
           let sided = Framework.check_sidedness ~seed:3 ~samples:8 fam in
           (failures, total, sided)
@@ -181,19 +184,12 @@ let simulate_cmd =
         Printf.printf
           "Simulating %s CONGEST on G_{x,y} (k=%d, n=%d, t=%d, cut=%d)\n"
           s.Registry.id k fam.Framework.nvertices rd.Registry.rd_parties cut;
-        let connected x y =
-          match fam.Framework.build x y with
-          | Framework.Undirected g -> Ch_graph.Props.connected g
-          | Framework.Directed dg ->
-              Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-          | _ -> true
-        in
         let all_ok = ref true in
         for i = 0 to pairs - 1 do
           let bits = fam.Framework.input_bits in
           let x = Bits.random ~seed:(3 * i) ~density:0.7 bits in
           let y = Bits.random ~seed:((3 * i) + 1) ~density:0.7 bits in
-          if not (connected x y) then
+          if not (Ch_reduction.Bound.connected fam (x, y)) then
             Printf.printf "  pair %2d: skipped (G_{x,y} disconnected)\n" i
           else begin
             let sim =
@@ -616,11 +612,15 @@ let profile_cmd =
            family has one (the representative workload: memoized solver
            caches under the pool), a random sweep otherwise *)
         let work () =
-          match s.Registry.incremental with
-          | Some inc -> fst (Framework.verify_exhaustive_inc (inc k))
-          | None ->
-              Framework.verify_random ~seed:11 ~samples:32
-                (s.Registry.scratch k)
+          let inc, mode =
+            match s.Registry.incremental with
+            | Some inc -> (inc k, Framework.Exhaustive)
+            | None ->
+                ( Framework.of_family (s.Registry.scratch k),
+                  Framework.Sampled { seed = 11; samples = 32 } )
+          in
+          let total = Framework.pair_count inc.Framework.scratch mode in
+          ((Framework.verdicts inc mode ~lo:0 ~hi:total).Framework.failures, total)
         in
         let failures, total =
           profiled ~root:("profile:" ^ s.Registry.id) ~obs_out work
@@ -873,13 +873,7 @@ let client_cmd =
           let open Ch_sweep in
           let spec = Registry.find_exn (catalog ()) (need_family ()) in
           let fam = spec.Registry.scratch k in
-          let mode =
-            match vmode with
-            | Protocol.Exhaustive -> Shard.Exhaustive
-            | Protocol.Sampled { seed; samples } ->
-                Shard.Sampled { seed; samples }
-          in
-          Sweep.digest (Sweep.oracle fam ~mode)
+          Sweep.digest (Sweep.oracle fam ~mode:vmode)
         in
         let check r =
           match (check_oracle, r.Protocol.rs_outcome) with

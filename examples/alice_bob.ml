@@ -27,7 +27,8 @@ let () =
     "cut bits";
   let run x y =
     let sim =
-      Framework.simulate_alice_bob fam ~solver:Ch_solvers.Domset.min_size
+      Framework.simulate_reduction fam
+        ~solver:(Framework.Graph_solver Ch_solvers.Domset.min_size)
         ~accept:(fun gamma -> gamma <= target)
         x y
     in

@@ -8,7 +8,12 @@ open Ch_core
 open Ch_lbgraphs
 
 let tour fam ~samples =
-  let failures, total = Framework.verify_random ~seed:9 ~samples fam in
+  let mode = Framework.Sampled { seed = 9; samples } in
+  let total = Framework.pair_count fam mode in
+  let failures =
+    (Framework.verdicts (Framework.of_family fam) mode ~lo:0 ~hi:total)
+      .Framework.failures
+  in
   let cut = Framework.cut_size fam in
   let lb =
     Framework.lower_bound_rounds ~input_bits:fam.Framework.input_bits ~cut

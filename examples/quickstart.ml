@@ -35,8 +35,11 @@ let () =
   done;
 
   (* randomized verification plus the Definition 1.1 side conditions *)
-  let failures, total = Framework.verify_random ~seed:42 ~samples:30 fam in
-  Printf.printf "\nRandomized verification: %d failures out of %d pairs\n" failures total;
+  let mode = Framework.Sampled { seed = 42; samples = 30 } in
+  let total = Framework.pair_count fam mode in
+  let r = Framework.verdicts (Framework.of_family fam) mode ~lo:0 ~hi:total in
+  Printf.printf "\nRandomized verification: %d failures out of %d pairs\n"
+    r.Framework.failures total;
   Printf.printf "Definition 1.1 side conditions hold: %b\n"
     (Framework.check_sidedness ~seed:7 ~samples:10 fam);
 

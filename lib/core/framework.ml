@@ -139,13 +139,6 @@ let multicut_index mc u v = Hashtbl.find_opt mc.mc_index (u, v)
 
 let build_timed fam x y = Obs.with_span sp_apply (fun () -> fam.build x y)
 
-let verdict_timed fam x y =
-  let inst = build_timed fam x y in
-  Obs.with_span sp_solver (fun () -> fam.predicate inst)
-
-let verdict = verdict_timed
-let verify_pair fam x y = verdict_timed fam x y = fam.f x y
-
 (* ---- incremental descriptors ---------------------------------------- *)
 
 type cache_stats = { cache_hits : int; cache_misses : int }
@@ -173,165 +166,101 @@ let of_family fam =
       (fun () ->
         {
           pbuild = fam.build;
-          pverdict = (fun x y -> fam.predicate (fam.build x y));
+          pverdict = (fun x y -> fam.predicate (build_timed fam x y));
           pstats = (fun () -> no_cache_stats);
         });
   }
 
-let verify_pair_inc p fam x y =
-  Obs.with_span sp_solver (fun () -> p.pverdict x y) = fam.f x y
+(* ---- the pair space --------------------------------------------------- *)
 
-let prepare_timed inc = Obs.with_span sp_core inc.prepare
+type mode = Exhaustive | Sampled of { seed : int; samples : int }
 
-(* Verification fans out over the default domain pool (or [pool]).  The
-   pair space is chunked into index ranges merged in range order, and
-   every random draw below derives its seed from the sample index alone,
-   so each function returns bit-identical results for any CH_JOBS. *)
-
-let exhaustive_inputs name fam =
-  if fam.input_bits > 10 then invalid_arg (name ^ ": K > 10");
-  Array.of_list (Bits.all fam.input_bits)
-
-let verify_exhaustive ?pool fam =
-  let inputs = exhaustive_inputs "Framework.verify_exhaustive" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let counts =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let failures = ref 0 in
-        for p = lo to hi - 1 do
-          if not (verify_pair fam inputs.(p / n) inputs.(p mod n)) then
-            incr failures
-        done;
-        !failures)
-  in
-  (List.fold_left ( + ) 0 counts, n * n)
-
-(* One prepared instance per chunk: the per-instance query scratch stays
-   domain-local while the memoized core tables are shared, and the chunk
-   boundaries (hence the merged counts) are the same as the from-scratch
-   verifiers', so results stay bit-identical for any CH_JOBS. *)
-let verify_exhaustive_inc ?pool inc =
-  let fam = inc.scratch in
-  let inputs = exhaustive_inputs "Framework.verify_exhaustive_inc" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let p = prepare_timed inc in
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          if not (verify_pair_inc p fam inputs.(i / n) inputs.(i mod n)) then
-            incr failures
-        done;
-        (!failures, p.pstats ()))
-  in
-  let failures = List.fold_left (fun acc (f, _) -> acc + f) 0 chunks in
-  let stats =
-    List.fold_left (fun acc (_, s) -> add_cache_stats acc s) no_cache_stats chunks
-  in
-  ((failures, n * n), stats)
-
-let exhaustive_verdicts ?pool fam =
-  let inputs = exhaustive_inputs "Framework.exhaustive_verdicts" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        Array.init (hi - lo) (fun j ->
-            let i = lo + j in
-            verdict_timed fam inputs.(i / n) inputs.(i mod n)))
-  in
-  Array.concat chunks
-
-let exhaustive_verdicts_inc ?pool inc =
-  let fam = inc.scratch in
-  let inputs = exhaustive_inputs "Framework.exhaustive_verdicts_inc" fam in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let n = Array.length inputs in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:(n * n) (fun lo hi ->
-        let p = prepare_timed inc in
-        let v =
-          Array.init (hi - lo) (fun j ->
-              let i = lo + j in
-              Obs.with_span sp_solver (fun () ->
-                  p.pverdict inputs.(i / n) inputs.(i mod n)))
-        in
-        (v, p.pstats ()))
-  in
-  let verdicts = Array.concat (List.map fst chunks) in
-  let stats =
-    List.fold_left
-      (fun acc (_, s) -> add_cache_stats acc s)
-      no_cache_stats chunks
-  in
-  (verdicts, stats)
-
-let corner_pairs fam =
-  let k = fam.input_bits in
-  [
-    (Bits.zeros k, Bits.zeros k);
-    (Bits.ones k, Bits.ones k);
-    (Bits.ones k, Bits.zeros k);
-    (Bits.zeros k, Bits.ones k);
-  ]
+let pair_count fam = function
+  | Exhaustive ->
+      if fam.input_bits > 10 then invalid_arg "Framework.pair_count: K > 10";
+      1 lsl (2 * fam.input_bits)
+  | Sampled { samples; _ } ->
+      if samples < 0 then invalid_arg "Framework.pair_count: negative samples";
+      samples + 4
 
 (* Sample [i] is the pair drawn from seeds (seed + 2i, seed + 2i + 1);
-   the four corner pairs are checked first.  The derivation depends only
-   on the sample index, never on a shared RNG, so any chunk can generate
-   its own samples. *)
+   the four corner pairs come first.  The derivation depends only on the
+   sample index, never on a shared RNG, so any chunk can generate its
+   own samples. *)
 let random_pair_at fam ~seed i =
-  if i < 4 then List.nth (corner_pairs fam) i
-  else
-    let i = i - 4 in
-    let k = fam.input_bits in
-    (Bits.random ~seed:(seed + (2 * i)) k, Bits.random ~seed:(seed + (2 * i) + 1) k)
+  let k = fam.input_bits in
+  match i with
+  | 0 -> (Bits.zeros k, Bits.zeros k)
+  | 1 -> (Bits.ones k, Bits.ones k)
+  | 2 -> (Bits.ones k, Bits.zeros k)
+  | 3 -> (Bits.zeros k, Bits.ones k)
+  | i ->
+      let i = i - 4 in
+      (Bits.random ~seed:(seed + (2 * i)) k, Bits.random ~seed:(seed + (2 * i) + 1) k)
 
-let verify_random ?pool ~seed ~samples fam =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
-  let counts =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          let x, y = random_pair_at fam ~seed i in
-          if not (verify_pair fam x y) then incr failures
-        done;
-        !failures)
-  in
-  (List.fold_left ( + ) 0 counts, total)
+let pair_at fam = function
+  | Exhaustive ->
+      ignore (pair_count fam Exhaustive);
+      let inputs = Array.of_list (Bits.all fam.input_bits) in
+      let n = Array.length inputs in
+      fun i -> (inputs.(i / n), inputs.(i mod n))
+  | Sampled { seed; _ } -> random_pair_at fam ~seed
 
-let sampled_verdicts ?pool ~seed ~samples fam =
+let failures fam mode verdicts =
+  let pair = pair_at fam mode in
+  let n = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let x, y = pair i in
+      if v <> fam.f x y then incr n)
+    verdicts;
+  !n
+
+(* ---- the verdict driver ----------------------------------------------- *)
+
+type verdict_run = {
+  verdicts : bool array;
+  failures : int;
+  stats : cache_stats;
+}
+
+(* The index range is chunked over the default domain pool (or [pool])
+   and merged in range order; every pair is a pure function of its index,
+   so the result is bit-identical for any CH_JOBS.  One prepared instance
+   per chunk: the per-instance query scratch stays domain-local while the
+   memoized core tables are shared. *)
+let verdicts ?pool inc mode ~lo ~hi =
+  let fam = inc.scratch in
+  if lo < 0 || hi < lo || hi > pair_count fam mode then
+    invalid_arg "Framework.verdicts: need 0 <= lo <= hi <= pair_count";
+  let pair = pair_at fam mode in
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
   let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        Array.init (hi - lo) (fun j ->
-            let x, y = random_pair_at fam ~seed (lo + j) in
-            verdict_timed fam x y))
+    Pool.parallel_chunks pool ~lo ~hi (fun clo chi ->
+        let p = Obs.with_span sp_core inc.prepare in
+        let bad = ref 0 in
+        let v =
+          Array.init (chi - clo) (fun j ->
+              let x, y = pair (clo + j) in
+              let v = Obs.with_span sp_solver (fun () -> p.pverdict x y) in
+              if v <> fam.f x y then incr bad;
+              v)
+        in
+        (v, !bad, p.pstats ()))
   in
-  Array.concat chunks
+  {
+    verdicts = Array.concat (List.map (fun (v, _, _) -> v) chunks);
+    failures = List.fold_left (fun acc (_, b, _) -> acc + b) 0 chunks;
+    stats =
+      List.fold_left
+        (fun acc (_, _, s) -> add_cache_stats acc s)
+        no_cache_stats chunks;
+  }
 
 let verify_random_inc ?pool ~seed ~samples inc =
-  let fam = inc.scratch in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let total = samples + 4 in
-  let chunks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:total (fun lo hi ->
-        let p = prepare_timed inc in
-        let failures = ref 0 in
-        for i = lo to hi - 1 do
-          let x, y = random_pair_at fam ~seed i in
-          if not (verify_pair_inc p fam x y) then incr failures
-        done;
-        (!failures, p.pstats ()))
-  in
-  let failures = List.fold_left (fun acc (f, _) -> acc + f) 0 chunks in
-  let stats =
-    List.fold_left (fun acc (_, s) -> add_cache_stats acc s) no_cache_stats chunks
-  in
-  ((failures, total), stats)
+  let mode = Sampled { seed; samples } in
+  let r = verdicts ?pool inc mode ~lo:0 ~hi:(pair_count inc.scratch mode) in
+  ((r.failures, Array.length r.verdicts), r.stats)
 
 (* Sample [i] uses seeds (seed + 4i .. seed + 4i + 3). *)
 let check_sidedness ?pool ~seed ~samples fam =
@@ -414,10 +343,6 @@ let simulate_reduction ?seed ?bandwidth_factor ?partition fam ~solver ~accept x
       invalid_arg "Framework.simulate_reduction: undirected instances only"
   | Digraph_solver _, _, _ ->
       invalid_arg "Framework.simulate_reduction: directed instances only"
-
-let simulate_alice_bob ?seed ?bandwidth_factor fam ~solver ~accept x y =
-  simulate_reduction ?seed ?bandwidth_factor fam ~solver:(Graph_solver solver)
-    ~accept x y
 
 let reduce ~name ~transform ~nvertices ~side ~predicate fam =
   {

@@ -78,58 +78,27 @@ val multicut_index : multicut_info -> int -> int -> int option
 
 (** {1 Family verification}
 
-    The three verifiers fan their (perfectly parallel) input-pair checks
-    out over a domain pool — [pool] when given, otherwise
-    {!Pool.default} (sized by [CH_JOBS], see {!Pool}).  All of them are
-    deterministic regardless of the worker count or schedule: the pair
-    space is chunked by index, per-chunk counts are merged in index
-    order, and random samples derive their seeds from the sample index
-    alone. *)
+    Verifying a family means checking P(G_{x,y}) = f(x,y) over its
+    {e pair space}: either all 2^K × 2^K input pairs, or four corner
+    pairs plus seeded samples.  A {!mode} names the space, {!pair_at}
+    maps an index in [\[0, pair_count)] to its pair, and {!verdicts} is
+    the one driver that decides an index range of it — for the CLI, the
+    sweep shards, the serve daemon, the reduction sweeps and the bench.
 
-val verdict : t -> Bits.t -> Bits.t -> bool
-(** P(G_{x,y}) alone — one cell of the verdict stream, for drivers (the
-    sweep shards) that assemble {!exhaustive_verdicts}-compatible traces
-    pair by pair. *)
-
-val verify_pair : t -> Bits.t -> Bits.t -> bool
-(** Does P(G_{x,y}) = f(x,y) hold for this input pair? *)
-
-val verify_exhaustive : ?pool:Pool.t -> t -> int * int
-(** [(failures, total)] over all 2^K × 2^K input pairs.
-    @raise Invalid_argument when [input_bits > 10]. *)
-
-val verify_random : ?pool:Pool.t -> seed:int -> samples:int -> t -> int * int
-(** [(failures, total)] over the four all-zeros / all-ones corner pairs
-    followed by [samples] random pairs.  {b Seeding scheme:} sample [i]
-    (0-based, corners excluded) is the pair
-    [(Bits.random ~seed:(seed + 2i), Bits.random ~seed:(seed + 2i + 1))]
-    — each sample's seeds are a pure function of [seed] and [i], never a
-    shared RNG stream, so the result is reproducible under any parallel
-    schedule and any [CH_JOBS].
-
-    {b Sampling is with replacement:} distinct sample indices may draw
-    the same pair (and may re-draw a corner pair), and every index is
-    counted — [failures] and [total] tally checks, not distinct pairs.
-    Deduplicating would make the failure count depend on which indices
-    collide and break the per-index seed derivation above, so duplicates
-    are kept by design; use {!verify_exhaustive} when coverage of
-    distinct pairs matters. *)
-
-(** {2 Incremental verification}
-
-    Per Definition 1.1 only the input encoding — O(k) edges — varies
-    across the 2^K × 2^K pair space; the gadget core is fixed.  An
-    {!incremental} descriptor exploits that: {!field-prepare} builds the
-    core (and any solver cache, see [Ch_solvers.Cache]) once, and the
+    {b Incremental engines.}  Per Definition 1.1 only the input encoding
+    — O(k) edges — varies across the pair space.  An {!incremental}
+    descriptor exploits that: {!field-prepare} builds the gadget core
+    (and any solver cache, see [Ch_solvers.Cache]) once, and the
     returned {!prepared} patches input edges and answers the predicate
-    per pair.  The plain {!field-scratch} family is kept alongside as the
-    reference oracle — the [_inc] verifiers promise results bit-identical
-    to their from-scratch counterparts, which the differential tests and
-    the bench harness assert pair by pair.
+    per pair.  {!of_family} lifts a plain family into the same shape, so
+    the scratch run — the reference oracle of the differential tests
+    and the bench — goes through the same driver.
 
-    The verifiers call [prepare] once per pool chunk, so the mutable
-    per-instance state never crosses domains; chunk boundaries match the
-    from-scratch verifiers', keeping results independent of [CH_JOBS]. *)
+    {b Determinism.}  {!verdicts} fans the range out over a domain pool —
+    [pool] when given, otherwise {!Pool.default} (sized by [CH_JOBS],
+    see {!Pool}) — in index-ordered chunks merged in range order, and
+    every pair is a pure function of its index.  Results are therefore
+    bit-identical for any worker count or schedule. *)
 
 type cache_stats = { cache_hits : int; cache_misses : int }
 (** Summed solver-cache counters: a miss is a core-table computation, a
@@ -169,48 +138,61 @@ type incremental = {
 
 val of_family : t -> incremental
 (** The degenerate incremental descriptor: rebuilds from scratch per pair
-    and reports zero cache activity.  Lets the [_inc] drivers run
-    un-ported families. *)
+    and reports zero cache activity.  Runs a plain family through
+    {!verdicts}. *)
 
-val verify_pair_inc : prepared -> t -> Bits.t -> Bits.t -> bool
-(** [pverdict x y = f x y], the incremental {!verify_pair}. *)
+type mode =
+  | Exhaustive  (** all 2^K × 2^K pairs, row-major in (x, y), {!Bits.all} order *)
+  | Sampled of { seed : int; samples : int }
+      (** the four corner pairs, then [samples] seeded draws *)
 
-val verify_exhaustive_inc :
-  ?pool:Pool.t -> incremental -> (int * int) * cache_stats
-(** Incremental {!verify_exhaustive}: identical [(failures, total)], plus
-    the summed cache counters.  @raise Invalid_argument when
-    [input_bits > 10]. *)
+val pair_count : t -> mode -> int
+(** [4^K] exhaustive, [samples + 4] sampled.
+    @raise Invalid_argument when exhaustive with [input_bits > 10], or
+    sampled with [samples < 0]. *)
+
+val pair_at : t -> mode -> int -> Bits.t * Bits.t
+(** The pair at an index of the mode's space.  Partially apply it once:
+    the exhaustive input table is built at that point, and each
+    per-index call is then a lookup (exhaustive) or a seeded draw
+    (sampled), so any slice of the space regenerates independently.
+    @raise Invalid_argument as {!pair_count}. *)
+
+val random_pair_at : t -> seed:int -> int -> Bits.t * Bits.t
+(** [pair_at fam (Sampled { seed; _ })].  Indices 0–3 are the corner
+    pairs (0^K,0^K), (1^K,1^K), (1^K,0^K), (0^K,1^K); index [i >= 4] is
+    the pair drawn from seeds [(seed + 2(i-4), seed + 2(i-4) + 1)].
+    The seeds are a pure function of [seed] and [i], never a shared RNG
+    stream.
+
+    {b Sampling is with replacement:} distinct indices may draw the same
+    pair (or re-draw a corner), and every index is counted.
+    Deduplicating would make failure counts depend on which indices
+    collide; use [Exhaustive] when coverage of distinct pairs matters. *)
+
+val failures : t -> mode -> bool array -> int
+(** The number of indices where a verdict stream starting at index 0
+    differs from f — for streams that were stored rather than computed
+    by {!verdicts}. *)
+
+type verdict_run = {
+  verdicts : bool array;  (** P(G_{x,y}) per index of the range *)
+  failures : int;  (** indices where the verdict differs from f(x,y) *)
+  stats : cache_stats;  (** summed over the chunks' prepared instances *)
+}
+
+val verdicts :
+  ?pool:Pool.t -> incremental -> mode -> lo:int -> hi:int -> verdict_run
+(** Decide the indices [\[lo, hi)] of the mode's pair space.  The range
+    is cut into {!Pool.parallel_chunks} chunks; each chunk calls
+    [prepare] once, so the mutable per-instance state never crosses
+    domains.  The failure count is taken in the same pass.
+    @raise Invalid_argument unless [0 <= lo <= hi <= pair_count]. *)
 
 val verify_random_inc :
   ?pool:Pool.t -> seed:int -> samples:int -> incremental -> (int * int) * cache_stats
-(** Incremental {!verify_random}: identical counts under the identical
-    (documented) seed-derivation scheme. *)
-
-val exhaustive_verdicts : ?pool:Pool.t -> t -> bool array
-(** P(G_{x,y}) for every pair of the 2^K × 2^K space, row-major in
-    (x, y) with inputs in {!Bits.all} order — the per-pair trace the
-    differential harness compares between paths.
-    @raise Invalid_argument when [input_bits > 10]. *)
-
-val random_pair_at : t -> seed:int -> int -> Bits.t * Bits.t
-(** The pair sample index [i] denotes under the documented
-    {!verify_random} derivation: indices 0–3 are the four corner pairs
-    (all-zeros/all-ones combinations, in {!verify_random}'s order) and
-    index [i >= 4] is the pair drawn from seeds
-    [(seed + 2(i-4), seed + 2(i-4) + 1)].  A pure function of [(seed, i)],
-    so any slice of the sample space can be regenerated independently —
-    the sweep scheduler's shards rely on exactly this. *)
-
-val sampled_verdicts : ?pool:Pool.t -> seed:int -> samples:int -> t -> bool array
-(** P(G_{x,y}) for sample indices [0 .. samples + 3] of the
-    {!random_pair_at} space — the from-scratch per-pair trace a sampled
-    sweep is differenced against, as {!exhaustive_verdicts} is for
-    exhaustive sweeps. *)
-
-val exhaustive_verdicts_inc :
-  ?pool:Pool.t -> incremental -> bool array * cache_stats
-(** The incremental per-pair trace; must equal {!exhaustive_verdicts} of
-    the scratch family on every index. *)
+(** [((failures, pairs), stats)] of {!verdicts} over the whole
+    [Sampled { seed; samples }] space. *)
 
 val check_sidedness : ?pool:Pool.t -> seed:int -> samples:int -> t -> bool
 (** Conditions 1–3 of Definition 1.1: the vertex set is fixed, G[V_B] and
@@ -254,22 +236,6 @@ val simulate_reduction :
     [fam.side] (undirected or directed per the solver); with [partition]
     the t-party run charges every cross-part message against the
     multicut (undirected instances only). *)
-
-val simulate_alice_bob :
-  ?seed:int ->
-  ?bandwidth_factor:int ->
-  t ->
-  solver:(Graph.t -> int) ->
-  accept:(int -> bool) ->
-  Bits.t ->
-  Bits.t ->
-  simulation
-(** Run the generic exact CONGEST algorithm (gather + local [solver]) on
-    G_{x,y} with Alice simulating V_A and Bob V_B, count the bits crossing
-    E_cut, and check that [accept answer] equals f(x,y): the two players
-    have solved the communication problem, which is exactly the Theorem
-    1.1 argument.  Only undirected instances are supported.
-    [simulate_reduction] with a [Graph_solver] and no partition. *)
 
 (** {1 Theorem 2.6: reductions between families} *)
 

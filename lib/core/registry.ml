@@ -84,13 +84,8 @@ let filter ?incremental ?reduction t =
       && flag reduction (s.reduction <> None))
     t.specs
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let to_json t =
+  let esc = Ch_obs.Obs.json_escape in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"families\": [\n";
   List.iteri
@@ -106,9 +101,8 @@ let to_json t =
         "    {\"id\": \"%s\", \"title\": \"%s\", \"paper_ref\": \"%s\", \
          \"origin\": \"%s\", \"default_k\": %d, \"incremental\": %b, \
          \"reduction\": %b%s, \"n\": %d, \"input_bits\": %d, \"cut\": %d}%s\n"
-        (json_escape s.id) (json_escape s.title) (json_escape s.paper_ref)
-        (json_escape s.origin) s.default_k (s.incremental <> None)
-        (s.reduction <> None) parties fam.Framework.nvertices
+        (esc s.id) (esc s.title) (esc s.paper_ref) (esc s.origin) s.default_k
+        (s.incremental <> None) (s.reduction <> None) parties fam.Framework.nvertices
         fam.Framework.input_bits (Framework.cut_size fam)
         (if i < List.length t.specs - 1 then "," else ""))
     t.specs;

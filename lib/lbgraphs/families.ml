@@ -7,6 +7,8 @@ let all =
   @ Kmds_lb.specs @ Steiner_approx_lb.specs @ Mds_restricted_lb.specs
   @ Bitgadget_lb.specs
 
-let catalog =
-  let t = lazy (Ch_core.Registry.of_specs all) in
-  fun () -> Lazy.force t
+(* Built eagerly at module initialisation: a lazy catalog first forced
+   from several pool domains at once raises CamlinternalLazy.Undefined
+   on OCaml 5. *)
+let registry = Ch_core.Registry.of_specs all
+let catalog () = registry

@@ -7,5 +7,6 @@ val all : Ch_core.Registry.spec list
 (** Every registered spec, in the canonical listing order. *)
 
 val catalog : unit -> Ch_core.Registry.t
-(** The registry over {!all}, built once (id uniqueness is checked on
-    first use). *)
+(** The registry over {!all}, built once at module initialisation (id
+    uniqueness is checked then), so concurrent first calls from pool
+    domains are safe. *)

@@ -211,18 +211,32 @@ let jsonl oc line =
   output_string oc line;
   output_char oc '\n'
 
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* [getpid] is called per event, never cached at module init: forked
    sweep workers would otherwise stamp their parent's pid. *)
 let emit_span_event ev sid st =
   if !sink <> None then
     emit
       (Printf.sprintf
-         "{\"ev\": %S, \"span\": %S, \"domain\": %d, \"pid\": %d%s, \"t_ns\": %Ld}"
-         ev
-         (locked_name span_names sid)
+         "{\"ev\": \"%s\", \"span\": \"%s\", \"domain\": %d, \"pid\": %d%s, \"t_ns\": %Ld}"
+         (json_escape ev)
+         (json_escape (locked_name span_names sid))
          st.ddomain (Unix.getpid ())
          (match st.dtrace with
-         | Some t -> Printf.sprintf ", \"trace\": %S" t
+         | Some t -> Printf.sprintf ", \"trace\": \"%s\"" (json_escape t)
          | None -> "")
          (Clock.now_ns ()))
 
@@ -572,20 +586,6 @@ module Series = struct
 end
 
 (* ---- rendering ---- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let report_json r =
   let b = Buffer.create 1024 in

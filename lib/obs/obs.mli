@@ -231,6 +231,12 @@ module Series : sig
       than two samples or an unknown name. *)
 end
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (without the quotes):
+    quote, backslash and every control character escaped, other bytes
+    passed through — the one escaper behind every JSON line this
+    repository writes by hand. *)
+
 val report_json : report -> string
 (** The report as one JSON object:
     [{"enabled": .., "counters": [{"name","value"}..],

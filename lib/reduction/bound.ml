@@ -32,40 +32,29 @@ let cc_bits ~input_bits = function
   | `Disj -> Commfn.cc_disj_lower_bound input_bits
   | `Eq -> input_bits + 1
 
+let pairs fam mode =
+  List.init (Framework.pair_count fam mode) (Framework.pair_at fam mode)
+
 let exhaustive_pairs fam =
   if fam.Framework.input_bits > 5 then
     invalid_arg "Bound.exhaustive_pairs: K > 5";
-  let inputs = Bits.all fam.Framework.input_bits in
-  List.concat_map (fun x -> List.map (fun y -> (x, y)) inputs) inputs
+  pairs fam Framework.Exhaustive
 
-(* corners first, then sample i from seeds (seed + 2i, seed + 2i + 1) —
-   the Framework.verify_random derivation, reproducible for any sweep
-   split *)
 let sampled_pairs fam ~seed ~samples =
-  let k = fam.Framework.input_bits in
-  [
-    (Bits.zeros k, Bits.zeros k);
-    (Bits.ones k, Bits.ones k);
-    (Bits.ones k, Bits.zeros k);
-    (Bits.zeros k, Bits.ones k);
-  ]
-  @ List.init samples (fun i ->
-        (Bits.random ~seed:(seed + (2 * i)) k, Bits.random ~seed:(seed + (2 * i) + 1) k))
+  pairs fam (Framework.Sampled { seed; samples })
 
 (* CONGEST assumes a connected network; the single-rooted gather cannot
    (and no distributed algorithm could) decide a global predicate across
    components that cannot talk to each other *)
+let connected fam (x, y) =
+  match fam.Framework.build x y with
+  | Framework.Undirected g -> Ch_graph.Props.connected g
+  | Framework.Directed dg ->
+      Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
+  | _ -> true
+
 let connected_pairs fam pairs =
-  let keep, skip =
-    List.partition
-      (fun (x, y) ->
-        match fam.Framework.build x y with
-        | Framework.Undirected g -> Ch_graph.Props.connected g
-        | Framework.Directed dg ->
-            Ch_graph.Props.connected (Ch_congest.Network.comm_graph dg)
-        | _ -> true)
-      pairs
-  in
+  let keep, skip = List.partition (connected fam) pairs in
   (keep, List.length skip)
 
 let matches (t : Simulate.transcript) (r : Simulate.reference) =

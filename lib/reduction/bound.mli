@@ -40,12 +40,16 @@ type report = {
 val cc_bits : input_bits:int -> [ `Disj | `Eq ] -> int
 
 val exhaustive_pairs : Framework.t -> (Bits.t * Bits.t) list
-(** All 2^K × 2^K pairs.  @raise Invalid_argument when [K > 5]. *)
+(** All 2^K × 2^K pairs, in {!Framework.pair_at} order.
+    @raise Invalid_argument when [K > 5]. *)
 
 val sampled_pairs : Framework.t -> seed:int -> samples:int -> (Bits.t * Bits.t) list
-(** The four corner pairs followed by [samples] random pairs; sample [i]
-    draws seeds (seed + 2i, seed + 2i + 1), as in
-    {!Framework.verify_random}. *)
+(** The [Sampled { seed; samples }] pair space of {!Framework.pair_at}:
+    the four corner pairs followed by [samples] seeded draws. *)
+
+val connected : Framework.t -> Bits.t * Bits.t -> bool
+(** Is the pair's instance (communication graph, for directed
+    constructions) connected, i.e. inside the CONGEST model? *)
 
 val connected_pairs :
   Framework.t -> (Bits.t * Bits.t) list -> (Bits.t * Bits.t) list * int

@@ -1,6 +1,8 @@
 type engine = Auto | Incremental | Scratch
 
-type vmode = Exhaustive | Sampled of { seed : int; samples : int }
+type vmode = Ch_core.Framework.mode =
+  | Exhaustive
+  | Sampled of { seed : int; samples : int }
 
 type op =
   | Ping

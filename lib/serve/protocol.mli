@@ -23,7 +23,13 @@
 
 type engine = Auto | Incremental | Scratch
 
-type vmode = Exhaustive | Sampled of { seed : int; samples : int }
+type vmode = Ch_core.Framework.mode =
+  | Exhaustive
+  | Sampled of { seed : int; samples : int }
+      (** the verify pair space, {!Ch_core.Framework.mode} *)
+
+val vmode_json : vmode -> Jsonx.t
+(** The wire form of a mode: ["exhaustive"] or [{seed, samples}]. *)
 
 type op =
   | Ping

@@ -1,7 +1,6 @@
-open Ch_cc
 module Framework = Ch_core.Framework
 
-type mode = Exhaustive | Sampled of { seed : int; samples : int }
+type mode = Framework.mode = Exhaustive | Sampled of { seed : int; samples : int }
 
 (* bits 0-24 lo, bits 25-49 hi, bits 50-62 index *)
 type t = int
@@ -33,17 +32,7 @@ let unpack p =
   make ~index:(index p) ~lo:(lo p) ~hi:(hi p)
 
 let total fam mode =
-  let t =
-    match mode with
-    | Exhaustive ->
-        if fam.Framework.input_bits > 10 then
-          invalid_arg "Shard.total: K > 10";
-        let n = 1 lsl fam.Framework.input_bits in
-        n * n
-    | Sampled { samples; _ } ->
-        if samples < 0 then invalid_arg "Shard.total: negative samples";
-        samples + 4
-  in
+  let t = Framework.pair_count fam mode in
   if t > max_pairs then invalid_arg "Shard.total: pair space too large";
   t
 
@@ -55,10 +44,4 @@ let partition ~total ~shards =
   Array.init shards (fun i ->
       make ~index:i ~lo:(i * total / shards) ~hi:((i + 1) * total / shards))
 
-let generator fam mode =
-  match mode with
-  | Exhaustive ->
-      let inputs = Array.of_list (Bits.all fam.Framework.input_bits) in
-      let n = Array.length inputs in
-      fun p -> (inputs.(p / n), inputs.(p mod n))
-  | Sampled { seed; _ } -> fun i -> Framework.random_pair_at fam ~seed i
+let generator = Framework.pair_at

@@ -3,9 +3,8 @@ module Framework = Ch_core.Framework
 
 (** Packed shard descriptors over a family's input-pair space.
 
-    A sweep enumerates pair indices [0 .. total): row-major (x, y) pairs
-    in {!Bits.all} order for an exhaustive sweep, {!Framework.random_pair_at}
-    sample indices for a sampled one.  A {e shard} is a contiguous
+    A sweep enumerates the pair indices [0 .. total) of
+    {!Framework.pair_at}.  A {e shard} is a contiguous
     half-open index range [\[lo, hi)] plus its position in the
     partition, packed into one immediate [int] (the fhk packed-subset
     idiom, SNIPPETS §2): descriptors cross [Marshal]/process boundaries
@@ -17,11 +16,10 @@ module Framework = Ch_core.Framework
     bits 50–61 the shard index — hence {!max_pairs} = 2^25 − 1 indices
     per sweep and {!max_shards} = 2^12 shards per plan. *)
 
-type mode =
-  | Exhaustive  (** all 2^K × 2^K pairs, row-major — {!Framework.exhaustive_verdicts} order *)
+type mode = Framework.mode =
+  | Exhaustive
   | Sampled of { seed : int; samples : int }
-      (** corner pairs 0–3 then [samples] seeded draws —
-          {!Framework.sampled_verdicts} order *)
+      (** {!Framework.mode}, re-exported for sweep plans *)
 
 type t
 
@@ -29,9 +27,9 @@ val max_pairs : int
 val max_shards : int
 
 val total : Framework.t -> mode -> int
-(** Number of pair indices the mode spans: [2^2K] exhaustive (K ≤ 10, as
-    {!Framework.exhaustive_verdicts}), [samples + 4] sampled.
-    @raise Invalid_argument when the space exceeds {!max_pairs}. *)
+(** {!Framework.pair_count}, bounded by {!max_pairs}.
+    @raise Invalid_argument when the space exceeds {!max_pairs}, or as
+    {!Framework.pair_count}. *)
 
 val partition : total:int -> shards:int -> t array
 (** [shards] contiguous ranges covering [\[0, total)] exactly, in index
@@ -57,7 +55,4 @@ val hi : t -> int
 val count : t -> int
 
 val generator : Framework.t -> mode -> int -> Bits.t * Bits.t
-(** [generator fam mode] is the pair at each index — partially apply it
-    once per worker: the exhaustive input table is built at that point,
-    each per-index call is then a pure lookup (exhaustive) or seeded
-    draw (sampled), so any shard regenerates its slice independently. *)
+(** {!Framework.pair_at}. *)

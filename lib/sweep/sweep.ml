@@ -46,11 +46,17 @@ let store_key fam ~mode ~shards =
     (Props.structural_hash core land 0xffffffff)
     (String.sub (Digest.to_hex (Digest.string desc)) 0 12)
 
-let compute_shard gen fam s =
+(* Shards are the unit of parallelism (pool tasks or worker processes),
+   so each one runs the driver sequentially on its own domain — a
+   one-worker pool never spawns a domain, which also keeps forked workers
+   domain-free. *)
+let serial = Pool.create ~jobs:1 ()
+
+let compute_shard fam mode s =
   Obs.with_span sp_shard (fun () ->
-      Array.init (Shard.count s) (fun j ->
-          let x, y = gen (Shard.lo s + j) in
-          Framework.verdict fam x y))
+      (Framework.verdicts ~pool:serial (Framework.of_family fam) mode
+         ~lo:(Shard.lo s) ~hi:(Shard.hi s))
+        .Framework.verdicts)
 
 (* A worker process: the interleaved slice [pos mod procs = c] of the
    pending shards, computed sequentially (the inherited pool's domains
@@ -58,7 +64,7 @@ let compute_shard gen fam s =
    skips [at_exit] — the parent owns the pool shutdown hooks — and
    skips channel flushing, so a worker never re-emits inherited buffered
    output. *)
-let child_main st gen fam plan pending ~procs ~fault_after c =
+let child_main st fam mode plan pending ~procs ~fault_after c =
   (match
      try
        (* The fork copied the parent's accumulated telemetry; drop it so
@@ -79,7 +85,7 @@ let child_main st gen fam plan pending ~procs ~fault_after c =
                then begin
                  Store.write_block st
                    ~index:(Shard.index plan.(i))
-                   (compute_shard gen fam plan.(i));
+                   (compute_shard fam mode plan.(i));
                  incr computed
                end)
              pending;
@@ -106,7 +112,6 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
   let total = Shard.total fam mode in
   let plan = Shard.partition ~total ~shards in
   let nsh = Array.length plan in
-  let gen = Shard.generator fam mode in
   let blocks : bool array option array = Array.make nsh None in
   let was_corrupt = Array.make nsh false in
   let computed = Array.make nsh false in
@@ -145,36 +150,31 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
   in
   (* Compute pass. *)
   (if procs = 1 then begin
-     (* Fault injection must not abort the pool batch: [Pool.run] drains
-        every task even when one raises, so a raising task would still
-        let the remaining shards compute.  Instead the fault trips an
-        atomic flag and later tasks skip — in-flight shards finish and
-        persist, exactly like workers outliving a coordinator. *)
-     let interrupted = Atomic.make (fault_after = Some 0) in
-     let ncomputed = Atomic.make 0 in
+     (* Fault injection computes exactly the first [f] pending shards in
+        plan order, whatever the pool width, so what a resume finds (and
+        the counters it reports) never depends on the schedule. *)
+     let todo =
+       match fault_after with
+       | Some f -> List.filteri (fun pos _ -> pos < f) pending
+       | None -> pending
+     in
+     (* [should_stop] (the CLI's signal flag) trips a sticky flag: shards
+        in flight finish and persist, later ones are skipped. *)
+     let interrupted = Atomic.make false in
      Pool.run (pool ())
        (List.map
           (fun i _task ->
-            (* [should_stop] (the CLI's signal flag) trips the same
-               atomic as fault injection: in-flight shards finish and
-               persist, pending ones are skipped, the run raises
-               [Interrupted] — a SIGTERM behaves exactly like
-               --fault-after at the moment it lands. *)
             if (not (Atomic.get interrupted)) && should_stop () then
               Atomic.set interrupted true;
             if not (Atomic.get interrupted) then begin
-              let v = compute_shard gen fam plan.(i) in
+              let v = compute_shard fam mode plan.(i) in
               blocks.(i) <- Some v;
               computed.(i) <- true;
-              (match store with
+              match store with
               | Some st -> Store.write_block st ~index:(Shard.index plan.(i)) v
-              | None -> ());
-              let n = 1 + Atomic.fetch_and_add ncomputed 1 in
-              match fault_after with
-              | Some f when n >= f -> Atomic.set interrupted true
-              | _ -> ()
+              | None -> ()
             end)
-          pending)
+          todo)
    end
    else begin
      let st = Option.get store in
@@ -182,7 +182,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
      let pids =
        List.init procs (fun c ->
            match Unix.fork () with
-           | 0 -> child_main st gen fam plan pending ~procs ~fault_after c
+           | 0 -> child_main st fam mode plan pending ~procs ~fault_after c
            | pid -> pid)
      in
      List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
@@ -215,7 +215,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
        Array.iter
          (fun i ->
            if Option.is_none blocks.(i) && not (should_stop ()) then begin
-             let v = compute_shard gen fam plan.(i) in
+             let v = compute_shard fam mode plan.(i) in
              Store.write_block st ~index:(Shard.index plan.(i)) v;
              blocks.(i) <- Some v;
              computed.(i) <- true
@@ -244,14 +244,9 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
       | Some v -> Array.blit v 0 verdicts (Shard.lo s) (Array.length v)
       | None -> assert false)
     plan;
-  let failures = ref 0 in
-  for p = 0 to total - 1 do
-    let x, y = gen p in
-    if verdicts.(p) <> fam.Framework.f x y then incr failures
-  done;
   {
     verdicts;
-    failures = !failures;
+    failures = Framework.failures fam mode verdicts;
     shards_total = nsh;
     shards_completed = ncompleted;
     shards_resumed = !resumed;
@@ -261,10 +256,9 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
   }
 
 let oracle ?pool fam ~mode =
-  match mode with
-  | Shard.Exhaustive -> Framework.exhaustive_verdicts ?pool fam
-  | Shard.Sampled { seed; samples } ->
-      Framework.sampled_verdicts ?pool ~seed ~samples fam
+  (Framework.verdicts ?pool (Framework.of_family fam) mode ~lo:0
+     ~hi:(Shard.total fam mode))
+    .Framework.verdicts
 
 let digest verdicts =
   Digest.to_hex

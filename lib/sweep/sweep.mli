@@ -6,9 +6,8 @@ module Pool = Ch_core.Pool
     A sweep partitions a family's pair space into {!Shard} ranges, fans
     them out over the {!Pool} domains (and optionally over forked worker
     processes), and merges the per-shard verdict blocks in shard order —
-    so the merged stream is bit-identical to
-    {!Framework.exhaustive_verdicts} / {!Framework.sampled_verdicts} for
-    any worker count, any schedule, and any resume point.  With a store
+    so the merged stream is bit-identical to {!oracle} for any worker
+    count, any schedule, and any resume point.  With a store
     directory, finished shards and the solver memo tables persist across
     runs: an interrupted sweep resumes by loading every valid block and
     computing only the rest, and a corrupt block (checksum failure) is
@@ -77,9 +76,9 @@ val run :
     its process; [run] itself only touches a pool on the [procs = 1]
     path.
 
-    [fault_after:s] is the crash-injection hook: the run stops once [s]
-    shards have been computed this run — in-flight shards still finish
-    and persist, pending ones are skipped — and raises {!Interrupted}.
+    [fault_after:s] is the crash-injection hook: the run computes (and
+    persists) exactly the first [s] pending shards in plan order,
+    whatever the pool width, then raises {!Interrupted} if any remain.
     Under [procs > 1] each worker stops after [s] shards and the parent
     skips its recompute fallback, simulating killed workers.
 
@@ -94,8 +93,8 @@ val run :
     [store_dir], or a plan outside the {!Shard} limits. *)
 
 val oracle : ?pool:Pool.t -> Framework.t -> mode:Shard.mode -> bool array
-(** The single-process from-scratch stream the sweep must reproduce:
-    {!Framework.exhaustive_verdicts} or {!Framework.sampled_verdicts}. *)
+(** The from-scratch stream the sweep must reproduce: {!Framework.verdicts}
+    of {!Framework.of_family} over the whole pair space. *)
 
 val digest : bool array -> string
 (** MD5 hex of the stream (as its ['0']/['1'] rendering) — what the CLI

@@ -5,10 +5,19 @@ open Ch_lbgraphs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* [(failures, pairs)] over a whole pair space, from scratch *)
+let verify ?pool fam mode =
+  let r =
+    Framework.verdicts ?pool (Framework.of_family fam) mode ~lo:0
+      ~hi:(Framework.pair_count fam mode)
+  in
+  (r.Framework.failures, Array.length r.Framework.verdicts)
+
 let assert_family ?(samples = 12) ?(exhaustive = false) name fam =
   let failures, total =
-    if exhaustive then Framework.verify_exhaustive fam
-    else Framework.verify_random ~seed:11 ~samples fam
+    verify fam
+      (if exhaustive then Framework.Exhaustive
+       else Framework.Sampled { seed = 11; samples })
   in
   Alcotest.(check string)
     (name ^ " iff-predicate")
@@ -372,9 +381,15 @@ let registry_differential_case s =
     | None -> assert false
     | Some inc ->
         let inc = inc 2 in
-        let scratch = Framework.exhaustive_verdicts inc.Framework.scratch in
-        let incr, stats = Framework.exhaustive_verdicts_inc inc in
-        Alcotest.(check (array bool)) (s.Registry.id ^ " verdicts") scratch incr;
+        let run inc =
+          Framework.verdicts inc Framework.Exhaustive ~lo:0
+            ~hi:(Framework.pair_count inc.Framework.scratch Framework.Exhaustive)
+        in
+        let scratch = run (Framework.of_family inc.Framework.scratch) in
+        let incr = run inc in
+        Alcotest.(check (array bool)) (s.Registry.id ^ " verdicts")
+          scratch.Framework.verdicts incr.Framework.verdicts;
+        let stats = incr.Framework.stats in
         check (s.Registry.id ^ " cache used") true
           (stats.Framework.cache_hits + stats.Framework.cache_misses > 0)
   in
@@ -410,7 +425,8 @@ let test_theorem_1_1_simulation () =
   List.iter
     (fun (x, y) ->
       let sim =
-        Framework.simulate_alice_bob fam ~solver:Ch_solvers.Domset.min_size
+        Framework.simulate_reduction fam
+          ~solver:(Framework.Graph_solver Ch_solvers.Domset.min_size)
           ~accept:(fun gamma -> gamma <= target)
           x y
       in

@@ -89,10 +89,18 @@ let test_steiner_graphs () =
 
 (* Cheap solvers: compare the full 2^K × 2^K verdict trace pair by
    pair.  This is the PR's acceptance differential at k = 2. *)
+let run ?pool inc mode =
+  Framework.verdicts ?pool inc mode ~lo:0
+    ~hi:(Framework.pair_count inc.Framework.scratch mode)
+
+let counts r = (r.Framework.failures, Array.length r.Framework.verdicts)
+
 let check_exhaustive name inc =
-  let scratch = Framework.exhaustive_verdicts inc.Framework.scratch in
-  let incr, stats = Framework.exhaustive_verdicts_inc inc in
-  Alcotest.(check (array bool)) (name ^ ": exhaustive verdicts") scratch incr;
+  let scratch = run (Framework.of_family inc.Framework.scratch) Framework.Exhaustive in
+  let incr = run inc Framework.Exhaustive in
+  Alcotest.(check (array bool)) (name ^ ": exhaustive verdicts")
+    scratch.Framework.verdicts incr.Framework.verdicts;
+  let stats = incr.Framework.stats in
   Alcotest.(check bool)
     (name ^ ": stats are non-negative")
     true
@@ -103,7 +111,7 @@ let test_mds_exhaustive () =
   let inc = Mds_lb.incremental ~k:2 in
   check_exhaustive "mds" inc;
   (* k = 2 is 256 pairs; every pair queries the ball cache *)
-  let _, stats = Framework.exhaustive_verdicts_inc inc in
+  let stats = (run inc Framework.Exhaustive).Framework.stats in
   Alcotest.(check bool)
     "mds: per-pair cache hits" true
     (stats.Framework.cache_hits >= 256)
@@ -144,27 +152,34 @@ let test_hampath_exhaustive () =
   Cache.clear ();
   check_exhaustive "hampath" (Hampath_lb.incremental ~k:2)
 
-(* The _inc verifiers must agree with their scratch counterparts
-   through the degenerate of_family descriptor too. *)
+(* The degenerate of_family descriptor must count like the scratch
+   family's own predicate, and report no cache activity. *)
 let test_of_family () =
   let fam = Mds_lb.family ~k:2 in
-  let (f1, t1) = Framework.verify_exhaustive fam in
-  let (f2, t2), stats = Framework.verify_exhaustive_inc (Framework.of_family fam) in
-  Alcotest.(check (pair int int)) "of_family counts" (f1, t1) (f2, t2);
+  let r = run (Framework.of_family fam) Framework.Exhaustive in
+  let direct =
+    List.length
+      (List.filter
+         (fun (x, y) ->
+           fam.Framework.predicate (fam.Framework.build x y) <> fam.Framework.f x y)
+         (List.init 256 (Framework.pair_at fam Framework.Exhaustive)))
+  in
+  let stats = r.Framework.stats in
+  Alcotest.(check (pair int int)) "of_family counts" (direct, 256) (counts r);
   Alcotest.(check (pair int int))
     "of_family reports no cache activity" (0, 0)
     (stats.Framework.cache_hits, stats.Framework.cache_misses)
 
 let test_verify_counts () =
   let inc = Mds_lb.incremental ~k:2 in
-  let scratch = Framework.verify_exhaustive inc.Framework.scratch in
-  let incr, _ = Framework.verify_exhaustive_inc inc in
-  Alcotest.(check (pair int int)) "exhaustive counts" scratch incr;
-  let scratch_r =
-    Framework.verify_random ~seed:42 ~samples:50 inc.Framework.scratch
-  in
+  let scratch_inc = Framework.of_family inc.Framework.scratch in
+  Alcotest.(check (pair int int)) "exhaustive counts"
+    (counts (run scratch_inc Framework.Exhaustive))
+    (counts (run inc Framework.Exhaustive));
+  let mode = Framework.Sampled { seed = 42; samples = 50 } in
   let incr_r, _ = Framework.verify_random_inc ~seed:42 ~samples:50 inc in
-  Alcotest.(check (pair int int)) "random counts" scratch_r incr_r
+  Alcotest.(check (pair int int)) "random counts"
+    (counts (run scratch_inc mode)) incr_r
 
 (* ---------------------------------------------------------------- *)
 (* Solver caches vs from-scratch solvers on random graphs           *)
@@ -288,7 +303,7 @@ let test_memo_aux_keying () =
     (s'.Cache.hits, s'.Cache.misses)
 
 (* ---------------------------------------------------------------- *)
-(* Seed derivation: verify_random is schedule-independent           *)
+(* Seed derivation: sampled verification is schedule-independent    *)
 (* ---------------------------------------------------------------- *)
 
 (* A deliberately broken family (predicate always TRUE) makes the
@@ -323,8 +338,9 @@ let test_seed_derivation () =
   in
   let p1 = Pool.create ~jobs:1 () in
   let p4 = Pool.create ~jobs:4 () in
-  let f1, t1 = Framework.verify_random ~pool:p1 ~seed ~samples broken in
-  let f4, t4 = Framework.verify_random ~pool:p4 ~seed ~samples broken in
+  let mode = Framework.Sampled { seed; samples } in
+  let f1, t1 = counts (run ~pool:p1 (Framework.of_family broken) mode) in
+  let f4, t4 = counts (run ~pool:p4 (Framework.of_family broken) mode) in
   Pool.shutdown p1;
   Pool.shutdown p4;
   Alcotest.(check (pair int int)) "1 worker matches the formula"

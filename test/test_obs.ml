@@ -295,6 +295,31 @@ let test_spanview_join () =
       Alcotest.(check string) "inner kept" "inner" i.Obs.sp_name
   | _ -> Alcotest.fail "dangling opens not closed at stream end"
 
+(* A client-supplied trace id lands in JSONL span events as a JSON
+   string: UTF-8 bytes pass through, quotes and control characters are
+   escaped, and the line parses back to the same id. *)
+let test_span_event_escapes_trace () =
+  let id = "caf\xc3\xa9\x01\"" in
+  let lines = ref [] in
+  let was_enabled = Obs.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_sink None;
+      Obs.set_enabled was_enabled)
+    (fun () ->
+      Obs.set_enabled true;
+      Obs.set_sink (Some (fun l -> lines := l :: !lines));
+      Obs.with_trace (Some id) (fun () -> Obs.with_span sp_outer ignore));
+  Alcotest.(check int) "begin and end events" 2 (List.length !lines);
+  List.iter
+    (fun l ->
+      match Ch_serve.Jsonx.parse l with
+      | Error e -> Alcotest.failf "not JSON (%s): %s" e l
+      | Ok v ->
+          Alcotest.(check (option string)) "trace id round-trips" (Some id)
+            (Option.bind (Ch_serve.Jsonx.mem "trace" v) Ch_serve.Jsonx.as_str))
+    !lines
+
 let () =
   Alcotest.run "obs"
     [
@@ -307,6 +332,8 @@ let () =
             test_histogram_buckets;
           Alcotest.test_case "disabled mode records nothing" `Quick
             test_disabled_dark;
+          Alcotest.test_case "span event JSON escapes the trace id" `Quick
+            test_span_event_escapes_trace;
         ] );
       ( "series",
         [

@@ -8,6 +8,36 @@ let pool4 = lazy (Pool.create ~jobs:4 ())
 let pool1 = lazy (Pool.create ~jobs:1 ())
 
 (* ------------------------------------------------------------------ *)
+(* The family catalog is domain-safe on first touch                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Four domains released together make the first catalog lookups of
+   this process; each must see the same catalog (a lazily forced global
+   raises CamlinternalLazy.Undefined when forced concurrently). *)
+let test_catalog_first_touch () =
+  let ready = Atomic.make 0 in
+  let lookup () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    let reg = Families.catalog () in
+    ( Registry.ids reg,
+      (Registry.find_exn reg "mds").Registry.default_k )
+  in
+  let results =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn lookup))
+  in
+  let reg = Families.catalog () in
+  let expected =
+    (Registry.ids reg, (Registry.find_exn reg "mds").Registry.default_k)
+  in
+  List.iteri
+    (fun i r ->
+      check (Printf.sprintf "domain %d sees the catalog" i) true (r = expected))
+    results
+
+(* ------------------------------------------------------------------ *)
 (* Pool                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -87,13 +117,21 @@ let test_exception_propagation () =
    exact-solver seconds per pair space, so only the cheap MDS family is
    swept exhaustively; the others are covered by the random verifier. *)
 
+(* [(failures, pairs)] over a whole pair space, from scratch *)
+let verify ?pool fam mode =
+  let r =
+    Framework.verdicts ?pool (Framework.of_family fam) mode ~lo:0
+      ~hi:(Framework.pair_count fam mode)
+  in
+  (r.Framework.failures, Array.length r.Framework.verdicts)
+
 let families () =
   [ Mds_lb.family ~k:2; Maxcut_lb.family ~k:2; Steiner_lb.family ~k:2 ]
 
 let test_verify_exhaustive_jobs_invariant () =
   let fam = Mds_lb.family ~k:2 in
-  let r1 = Framework.verify_exhaustive ~pool:(Lazy.force pool1) fam in
-  let r4 = Framework.verify_exhaustive ~pool:(Lazy.force pool4) fam in
+  let r1 = verify ~pool:(Lazy.force pool1) fam Framework.Exhaustive in
+  let r4 = verify ~pool:(Lazy.force pool4) fam Framework.Exhaustive in
   check (fam.Framework.name ^ " exhaustive jobs=1 vs jobs=4") true (r1 = r4);
   check (fam.Framework.name ^ " no failures") true (fst r1 = 0);
   check_int (fam.Framework.name ^ " total = 2^K * 2^K") (16 * 16) (snd r1)
@@ -101,12 +139,9 @@ let test_verify_exhaustive_jobs_invariant () =
 let test_verify_random_jobs_invariant () =
   List.iter
     (fun fam ->
-      let r1 =
-        Framework.verify_random ~pool:(Lazy.force pool1) ~seed:77 ~samples:8 fam
-      in
-      let r4 =
-        Framework.verify_random ~pool:(Lazy.force pool4) ~seed:77 ~samples:8 fam
-      in
+      let mode = Framework.Sampled { seed = 77; samples = 8 } in
+      let r1 = verify ~pool:(Lazy.force pool1) fam mode in
+      let r4 = verify ~pool:(Lazy.force pool4) fam mode in
       check (fam.Framework.name ^ " random jobs=1 vs jobs=4") true (r1 = r4);
       check_int (fam.Framework.name ^ " total = samples + corners") 12 (snd r1))
     (families ())
@@ -127,6 +162,12 @@ let test_check_sidedness_jobs_invariant () =
 let () =
   Alcotest.run "parallel"
     [
+      (* must stay first: the catalog's first touch is the point *)
+      ( "catalog",
+        [
+          Alcotest.test_case "first touch from 4 domains" `Quick
+            test_catalog_first_touch;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "parallel_map = List.map" `Quick

@@ -45,10 +45,12 @@ let dummy_fam k : Framework.t =
     f = (fun x y -> (Bits.popcount x + Bits.popcount y) mod 2 = 0);
   }
 
-(* Fault-injection counts are only exact under a serial schedule: with
-   a wider pool, shards already in flight when the fault trips still
-   finish (by design).  The determinism tests pin jobs=1. *)
+(* A one-worker pool spawns no domain, so tests that pin it stay legal
+   before the fork in the fan-out test. *)
 let serial = lazy (Pool.create ~jobs:1 ())
+
+(* The exhaustive from-scratch stream, through the verdict driver. *)
+let oracle fam = Sweep.oracle ~pool:(Lazy.force serial) fam ~mode:Shard.Exhaustive
 
 let tmp_counter = ref 0
 
@@ -175,7 +177,7 @@ let prop_permuted_merge =
             verdicts.(Shard.lo s + j) <- fam.Framework.f x y
           done)
         order;
-      verdicts = Framework.exhaustive_verdicts fam)
+      verdicts = oracle fam)
 
 (* Interrupt a store-backed sweep after a random number of shards, then
    resume: the merged stream is bit-identical to the one-shot oracle and
@@ -211,7 +213,7 @@ let prop_resume_any_point =
           o.Sweep.shards_recomputed = 0
           && o.Sweep.failures = 0
           && o.Sweep.shards_resumed + o.Sweep.shards_completed = shards
-          && o.Sweep.verdicts = Framework.exhaustive_verdicts fam))
+          && o.Sweep.verdicts = oracle fam))
 
 (* The sampled pair space merges just as deterministically, including
    through a store round-trip. *)
@@ -286,9 +288,7 @@ let test_crash_recovery_mds () =
           ("sweep.shards.recomputed", 0);
           ("sweep.store.corrupt", 0);
         ];
-      check_verdicts "resumed stream = oracle"
-        (Framework.exhaustive_verdicts fam)
-        o.Sweep.verdicts)
+      check_verdicts "resumed stream = oracle" (oracle fam) o.Sweep.verdicts)
 
 (* ---------------------------------------------------------------- *)
 (* Store corruption                                                 *)
@@ -346,8 +346,7 @@ let test_store_corruption () =
       Alcotest.(check int) "recomputed" 2 o.Sweep.shards_recomputed;
       Alcotest.(check int) "corrupt artifacts" 3 o.Sweep.artifacts_corrupt;
       Alcotest.(check int) "failures" 0 o.Sweep.failures;
-      check_verdicts "stream unchanged by corruption"
-        (Framework.exhaustive_verdicts fam)
+      check_verdicts "stream unchanged by corruption" (oracle fam)
         o.Sweep.verdicts;
       (* the recomputed blocks were re-persisted intact *)
       Array.iter
@@ -423,6 +422,50 @@ let test_mis_snapshot_roundtrip () =
     (Cache.mwis_weight w' ~extra:[]);
   Cache.clear ()
 
+(* The fault point is the first [f] pending shards in plan order, so a
+   crash under a 2-worker pool leaves the same store as a serial one, and
+   the resumed run reports the same outcome and obs counters. *)
+let test_fault_point_pool_width () =
+  let fam = Lazy.force mds_fam in
+  let mode = Shard.Exhaustive in
+  let shards = 4 in
+  let crash_and_resume pool =
+    with_temp_dir (fun dir ->
+        let was_enabled = Obs.enabled () in
+        Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled)
+        @@ fun () ->
+        Obs.set_enabled true;
+        let n =
+          match
+            Sweep.run ~pool ~store_dir:dir ~fault_after:2 fam ~mode ~shards
+          with
+          | _ -> Alcotest.fail "faulted sweep did not raise Interrupted"
+          | exception Sweep.Interrupted n -> n
+        in
+        Obs.reset ();
+        let o = Sweep.run ~pool ~store_dir:dir fam ~mode ~shards in
+        (n, o, (Obs.report ()).Obs.r_counters))
+  in
+  let n1, o1, c1 = crash_and_resume (Lazy.force serial) in
+  let pool2 = Pool.create ~jobs:2 () in
+  let n2, o2, c2 =
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool2) (fun () ->
+        crash_and_resume pool2)
+  in
+  Alcotest.(check int) "shards before the crash" n1 n2;
+  Alcotest.(check int) "resumed shards" 2 o2.Sweep.shards_resumed;
+  Alcotest.(check (list int)) "outcome"
+    [
+      o1.Sweep.failures; o1.Sweep.shards_completed; o1.Sweep.shards_resumed;
+      o1.Sweep.shards_recomputed; o1.Sweep.artifacts_corrupt;
+    ]
+    [
+      o2.Sweep.failures; o2.Sweep.shards_completed; o2.Sweep.shards_resumed;
+      o2.Sweep.shards_recomputed; o2.Sweep.artifacts_corrupt;
+    ];
+  check_verdicts "resumed stream" o1.Sweep.verdicts o2.Sweep.verdicts;
+  Alcotest.(check (list (pair string int))) "resume counters" c1 c2
+
 (* ---------------------------------------------------------------- *)
 (* Cooperative stop: should_stop behaves like fault injection        *)
 (* ---------------------------------------------------------------- *)
@@ -457,8 +500,7 @@ let test_should_stop () =
       Alcotest.(check int) "all shards covered" shards
         (o.Sweep.shards_resumed + o.Sweep.shards_completed);
       check_verdicts "stop/resume stream = oracle"
-        (Framework.exhaustive_verdicts fam)
-        o.Sweep.verdicts)
+        (oracle fam) o.Sweep.verdicts)
 
 (* Span shape and counts, with the wall-clock timings stripped. *)
 type sshape = S of string * int * sshape list
@@ -486,7 +528,7 @@ let test_multiprocess_matches_oracle () =
   let fam = Lazy.force mds_fam in
   let mode = Shard.Exhaustive in
   let shards = 7 in
-  let oracle = Framework.exhaustive_verdicts fam in
+  let oracle = oracle fam in
   let was_enabled = Obs.enabled () in
   Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   Obs.set_enabled true;
@@ -551,5 +593,8 @@ let () =
             test_mis_snapshot_roundtrip;
           Alcotest.test_case "cooperative should_stop + resume" `Quick
             test_should_stop;
+          (* spawns a domain: must come after the fan-out test *)
+          Alcotest.test_case "fault point independent of pool width" `Quick
+            test_fault_point_pool_width;
         ] );
     ]
