@@ -141,7 +141,7 @@ let build_timed fam x y = Obs.with_span sp_apply (fun () -> fam.build x y)
 
 (* ---- incremental descriptors ---------------------------------------- *)
 
-type cache_stats = { cache_hits : int; cache_misses : int }
+type cache_stats = Ch_solvers.Cache.stats = { cache_hits : int; cache_misses : int }
 
 let no_cache_stats = { cache_hits = 0; cache_misses = 0 }
 

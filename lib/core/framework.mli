@@ -100,7 +100,7 @@ val multicut_index : multicut_info -> int -> int -> int option
     every pair is a pure function of its index.  Results are therefore
     bit-identical for any worker count or schedule. *)
 
-type cache_stats = { cache_hits : int; cache_misses : int }
+type cache_stats = Ch_solvers.Cache.stats = { cache_hits : int; cache_misses : int }
 (** Summed solver-cache counters: a miss is a core-table computation, a
     hit an operation served from cached tables (see [Ch_solvers.Cache]). *)
 

@@ -132,14 +132,15 @@ let intersects a b =
   let rec go w = w < n && (a.words.(w) land b.words.(w) <> 0 || go (w + 1)) in
   go 0
 
-(* Index of the lowest set bit: isolate it and popcount the ones below.
-   With the table-based popcount this is O(1), not O(set bits). *)
-let[@inline] lowest_bit x = popcount ((x land -x) - 1)
+(* Index of the lowest set bit of a nonzero word: isolate it and popcount
+   the ones below.  With the table-based popcount this is O(1), not
+   O(set bits). *)
+let[@inline] trailing_zeros x = popcount ((x land -x) - 1)
 
 let choose t =
   let rec go w =
     if w >= Array.length t.words then raise Not_found
-    else if t.words.(w) <> 0 then (w * bits_per_word) + lowest_bit t.words.(w)
+    else if t.words.(w) <> 0 then (w * bits_per_word) + trailing_zeros t.words.(w)
     else go (w + 1)
   in
   go 0
@@ -155,7 +156,7 @@ let iter f t =
       let base = w * bits_per_word in
       while !word <> 0 do
         let x = !word in
-        f (base + lowest_bit x);
+        f (base + trailing_zeros x);
         word := x land (x - 1)
       done
     end
@@ -170,7 +171,7 @@ let fold f t init =
       let base = w * bits_per_word in
       while !word <> 0 do
         let x = !word in
-        acc := f (base + lowest_bit x) !acc;
+        acc := f (base + trailing_zeros x) !acc;
         word := x land (x - 1)
       done
     end

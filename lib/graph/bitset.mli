@@ -56,6 +56,12 @@ val inter_cardinal : t -> t -> int
 
 val intersects : t -> t -> bool
 
+val popcount : int -> int
+(** Set bits of one word (table-driven). *)
+
+val trailing_zeros : int -> int
+(** Index of the lowest set bit of a nonzero word. *)
+
 val choose : t -> int
 (** Smallest element. @raise Not_found on the empty set. *)
 

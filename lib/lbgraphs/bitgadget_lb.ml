@@ -189,13 +189,7 @@ let incremental ~k =
                 Ch_solvers.Cache.domset_balls dc ~extra:(input_edges ~k x y)
               in
               Ch_solvers.Domset.exists_of_size ~balls g target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.domset_stats dc);
         });
   }
 

@@ -126,26 +126,6 @@ let build ~k x y =
   List.iter (fun (u, v) -> Digraph.add_arc dg u v) (input_arcs ~k x y);
   dg
 
-type core = {
-  ck : int;
-  cdg : Digraph.t;
-  mutable applied : (Bits.t * Bits.t) option;
-}
-
-let build_core ~k =
-  let _ = Bitgadget.check_k "Hampath_lb.build_core" k in
-  { ck = k; cdg = core_digraph ~k; applied = None }
-
-let apply_inputs c x y =
-  let k = c.ck in
-  (match c.applied with
-  | Some (px, py) ->
-      List.iter (fun (u, v) -> Digraph.remove_arc c.cdg u v) (input_arcs ~k px py)
-  | None -> ());
-  List.iter (fun (u, v) -> Digraph.add_arc c.cdg u v) (input_arcs ~k x y);
-  c.applied <- Some (x, y);
-  c.cdg
-
 let witness_path ~k x y ~i ~j =
   let t = Bitgadget.check_k "Hampath_lb.witness_path" k in
   if not (Bits.get_pair ~k x i j && Bits.get_pair ~k y i j) then
@@ -245,30 +225,10 @@ let path_family ~k =
     f = Commfn.intersecting;
   }
 
-let incremental ~k =
-  {
-    Framework.scratch = path_family ~k;
-    prepare =
-      (fun () ->
-        let c = build_core ~k in
-        (* bitsets snapshot of the unpatched core *)
-        let hp = Ch_solvers.Cache.hampath_prepare c.cdg in
-        {
-          Framework.pbuild = (fun x y -> Framework.Directed (apply_inputs c x y));
-          pverdict =
-            (fun x y ->
-              Ch_solvers.Cache.hampath_directed_path hp
-                ~extra:(input_arcs ~k x y)
-              <> None);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.hampath_stats hp in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
-        });
-  }
+(* The generic path: at k = 2 the Hamiltonicity search dominates, and a
+   shared-bitset core port measured no faster than rebuilding the
+   digraph per pair. *)
+let incremental ~k = Framework.of_family (path_family ~k)
 
 (* Theorem 2.3: add middle with arcs end -> middle -> start *)
 let build_cycle ~k x y =

@@ -51,23 +51,6 @@ end
 
 val build : k:int -> Bits.t -> Bits.t -> Digraph.t
 
-val core_digraph : k:int -> Digraph.t
-(** The fixed part — {!build} minus the input-dependent row arcs. *)
-
-val input_arcs : k:int -> Bits.t -> Bits.t -> (int * int) list
-(** The input-dependent arcs: (a₁^i, a₂^j) per set x-bit and (b₁^i, b₂^j)
-    per set y-bit.  [build] = [core_digraph] + these. *)
-
-type core
-(** A core digraph plus the currently applied input pair. *)
-
-val build_core : k:int -> core
-
-val apply_inputs : core -> Bits.t -> Bits.t -> Digraph.t
-(** Patch the core in place to the pair's digraph: remove the previous
-    pair's input arcs, add this pair's.  The result aliases the core —
-    valid until the next [apply_inputs] on the same core. *)
-
 val witness_path : k:int -> Bits.t -> Bits.t -> i:int -> j:int -> int list
 (** The explicit Hamiltonian path of Claim 2.1 for an intersecting index
     pair (x_{i,j} = y_{i,j} = 1 required): forward wheel/beta steps along
@@ -82,10 +65,11 @@ val path_family : k:int -> Ch_core.Framework.t
 (** Directed Hamiltonian path (Theorem 2.2). *)
 
 val incremental : k:int -> Ch_core.Framework.incremental
-(** Incremental descriptor for {!path_family}: shared core adjacency
-    bitsets ({!Ch_solvers.Cache.hampath_prepare}) patched copy-on-write
-    with the pair's {!input_arcs} instead of a fresh digraph build per
-    pair. *)
+(** [Framework.of_family (path_family ~k)]: the generic per-pair build.
+    At k = 2 the Hamiltonicity search dominates each verdict, and a
+    memoized core port (shared adjacency bitsets patched per pair)
+    measured no faster, so none is kept.  The descriptor stays so that
+    registry consumers resolve an engine for ["hampath"]. *)
 
 val cycle_family : k:int -> Ch_core.Framework.t
 (** Directed Hamiltonian cycle: adds [middle] (Theorem 2.3). *)

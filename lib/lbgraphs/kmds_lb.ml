@@ -186,13 +186,7 @@ let incremental p =
               let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
               Ch_solvers.Domset.exists_within ~radius:p.k ~balls g
                 ~bound:yes_weight);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.domset_stats dc);
         });
   }
 

@@ -199,13 +199,7 @@ let incremental ~k =
               Ch_solvers.Cache.maxcut_max ~stop_at:target mc
                 ~extra:(input_edges ~k x y)
               >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.maxcut_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.maxcut_stats mc);
         });
   }
 

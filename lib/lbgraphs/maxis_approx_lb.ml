@@ -193,13 +193,7 @@ let weighted_incremental p =
               Ch_solvers.Cache.mwis_weight mw
                 ~extra:(weighted_input_edges p x y)
               >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mwis_stats mw in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.mis_stats mw);
         });
   }
 
@@ -342,13 +336,7 @@ let unweighted_incremental p =
               Ch_solvers.Cache.mis_alpha mc
                 ~extra:(unweighted_input_edges p x y)
               >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.mis_stats mc);
         });
   }
 
@@ -530,13 +518,7 @@ let linear_incremental p =
             (fun x y ->
               Ch_solvers.Cache.mis_alpha mc ~extra:(linear_input_edges p x y)
               >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.mis_stats mc);
         });
   }
 

@@ -144,13 +144,7 @@ let incremental ~k =
           pverdict =
             (fun x y ->
               Ch_solvers.Cache.mis_alpha mc ~extra:(input_edges ~k x y) >= target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.mis_stats mc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.mis_stats mc);
         });
   }
 

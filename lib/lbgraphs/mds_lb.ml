@@ -150,13 +150,7 @@ let incremental ~k =
               (* decision-bounded: the incremental sweep only needs the
                  ≤ target verdict, not the optimum itself *)
               Ch_solvers.Domset.exists_of_size ~balls g target);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.domset_stats dc);
         });
   }
 

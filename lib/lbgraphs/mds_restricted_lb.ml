@@ -123,13 +123,7 @@ let incremental p =
               let g = apply_inputs c x y in
               let balls = Ch_solvers.Cache.domset_balls dc ~extra:[] in
               Ch_solvers.Domset.exists_within ~balls g ~bound:2);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.domset_stats dc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.domset_stats dc);
         });
   }
 

@@ -141,13 +141,7 @@ let node_weighted_incremental p =
               let g = apply_node_weighted_inputs c x y in
               Ch_solvers.Cache.nwsteiner_cost nc ~weights:(Graph.vweights g)
               <= 2);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.nwsteiner_stats nc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.nwsteiner_stats nc);
         });
   }
 
@@ -282,13 +276,7 @@ let directed_incremental p =
               with
               | Some cost -> cost <= 2
               | None -> false);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.dsteiner_stats ds in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.dsteiner_stats ds);
         });
   }
 

@@ -117,13 +117,7 @@ let incremental ~k =
               with
               | Some extra -> extra <= extra_budget
               | None -> false);
-          pstats =
-            (fun () ->
-              let s = Ch_solvers.Cache.steiner_stats sc in
-              {
-                Framework.cache_hits = s.Ch_solvers.Cache.hits;
-                cache_misses = s.Ch_solvers.Cache.misses;
-              });
+          pstats = (fun () -> Ch_solvers.Cache.steiner_stats sc);
         });
   }
 

@@ -1,7 +1,7 @@
 open Ch_graph
 module Obs = Ch_obs.Obs
 
-type stats = { hits : int; misses : int }
+type stats = { cache_hits : int; cache_misses : int }
 
 let sp_lookup = Obs.span "cache_lookup"
 let sp_build = Obs.span "cache_build"
@@ -40,86 +40,101 @@ module Tally = struct
     Obs.bump t.tkind.kqueries
 
   let built k = Obs.bump k.kbuilds
-  let stats t = { hits = t.chits; misses = t.cmisses }
+  let stats t = { cache_hits = t.chits; cache_misses = t.cmisses }
 end
 
 (* ------------------------------------------------------------------ *)
-(* Structural-hash memo                                               *)
+(* Key-generic memo                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Core tables are immutable once published, so concurrent verification
-   chunks (one prepared instance per chunk) can share one computation.
-   Entries keep a snapshot of the keyed graph: a structural-hash
-   collision can then never serve wrong tables, and later in-place
-   patching of the caller's graph cannot corrupt the key. *)
+(* Core tables are immutable once published (the MIS tables' lazily
+   filled values aside), so concurrent verification chunks (one prepared
+   instance per chunk) can share one computation.  Every memo has the
+   same shape: hash buckets of (frozen key, tables) pairs, probed with a
+   full [equal] re-check so a hash collision can never serve wrong
+   tables.  [freeze] snapshots the key at insertion, so later in-place
+   patching of the caller's graph cannot corrupt it; [order] ranks the
+   keys of one bucket, so [entries] is a deterministic function of the
+   memo contents whatever the build order was. *)
 module Memo = struct
-  type 'a entry = { eg : Graph.t; eaux : string; etables : 'a }
+  type ('k, 'a) t = {
+    lock : Mutex.t;
+    tbl : (int, ('k * 'a) list) Hashtbl.t;
+    hash : 'k -> int;
+    equal : 'k -> 'k -> bool;
+    order : 'k -> 'k -> int;
+    freeze : 'k -> 'k;
+  }
 
-  type 'a t = { lock : Mutex.t; tbl : (int, 'a entry list) Hashtbl.t }
+  let create ~hash ~equal ~order ~freeze =
+    { lock = Mutex.create (); tbl = Hashtbl.create 16; hash; equal; order; freeze }
 
-  let create () = { lock = Mutex.create (); tbl = Hashtbl.create 16 }
+  (* [Fun.protect] keeps the lock exception-safe (builders raise
+     [Invalid_argument] on oversized cores). *)
+  let locked m f =
+    Mutex.lock m.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
 
-  let probe memo ~graph ~aux ~hash =
-    List.find_opt
-      (fun e -> e.eaux = aux && Graph.equal_structure e.eg graph)
-      (Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash))
+  let bucket m h = Option.value ~default:[] (Hashtbl.find_opt m.tbl h)
+  let probe m h key = List.find_opt (fun (k, _) -> m.equal k key) (bucket m h)
+  let add m h key tables = Hashtbl.replace m.tbl h ((key, tables) :: bucket m h)
 
   (* [(tables, true)] on a memo hit, [(tables, false)] when this call
      computed them.  The build runs under the memo lock, so each unique
-     (graph, aux) key is built exactly once: racing domains would
-     otherwise duplicate the (expensive) build, and the duplicated
-     solver work would make the telemetry counters schedule-dependent.
-     Contention is negligible — builds are per-core, queries never take
-     this path.  [Fun.protect] keeps the lock exception-safe (builders
-     raise [Invalid_argument] on oversized cores). *)
-  let find_or_build memo ~graph ~aux ~build =
-    let hash = Props.structural_hash graph in
+     key is built exactly once: racing domains would otherwise duplicate
+     the (expensive) build, and the duplicated solver work would make the
+     telemetry counters schedule-dependent.  Contention is negligible —
+     builds are per-core, queries never take this path.  [build] gets
+     the frozen key, which the entry keeps. *)
+  let find_or_build m key ~build =
+    let h = m.hash key in
     Obs.with_span sp_lookup (fun () ->
-        Mutex.lock memo.lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock memo.lock)
-          (fun () ->
-            match probe memo ~graph ~aux ~hash with
-            | Some e -> (e.etables, true)
+        locked m (fun () ->
+            match probe m h key with
+            | Some (_, tables) -> (tables, true)
             | None ->
-                let tables = Obs.with_span sp_build build in
-                let entry =
-                  { eg = Graph.copy graph; eaux = aux; etables = tables }
-                in
-                Hashtbl.replace memo.tbl hash
-                  (entry
-                  :: Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash));
+                let key = m.freeze key in
+                let tables = Obs.with_span sp_build (fun () -> build key) in
+                add m h key tables;
                 (tables, false)))
 
-  let clear memo =
-    Mutex.lock memo.lock;
-    Hashtbl.reset memo.tbl;
-    Mutex.unlock memo.lock
+  let clear m = locked m (fun () -> Hashtbl.reset m.tbl)
 
-  (* Dump/merge hooks for [Cache.snapshot]/[Cache.restore].  [entries]
-     orders buckets by hash so the dump bytes are a deterministic
-     function of the memo contents; [add_if_absent] re-probes under the
-     lock so restoring never shadows a table the process already built
-     (nor duplicates one restored twice). *)
-  let entries memo =
-    Mutex.lock memo.lock;
-    let l = Hashtbl.fold (fun h es acc -> (h, es) :: acc) memo.tbl [] in
-    Mutex.unlock memo.lock;
-    List.sort (fun (a, _) (b, _) -> compare (a : int) b) l
+  (* Sorted by bucket hash, then by [order] within a bucket. *)
+  let entries m =
+    locked m (fun () ->
+        Hashtbl.fold (fun h es acc -> List.map (fun e -> (h, e)) es @ acc) m.tbl [])
+    |> List.sort (fun (h, (k, _)) (h', (k', _)) ->
+           if h <> h' then compare (h : int) h' else m.order k k')
+    |> List.map snd
 
-  let add_if_absent memo ~hash entry =
-    Mutex.lock memo.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock memo.lock)
-      (fun () ->
-        match probe memo ~graph:entry.eg ~aux:entry.eaux ~hash with
-        | Some _ -> false
-        | None ->
-            Hashtbl.replace memo.tbl hash
-              (entry
-              :: Option.value ~default:[] (Hashtbl.find_opt memo.tbl hash));
-            true)
+  (* Re-probes under the lock, so restoring never shadows a table the
+     process already built (nor duplicates one restored twice). *)
+  let restore m entries =
+    locked m (fun () ->
+        List.fold_left
+          (fun added (key, tables) ->
+            let h = m.hash key in
+            match probe m h key with
+            | Some _ -> added
+            | None ->
+                add m h key tables;
+                added + 1)
+          0 entries)
 end
+
+(* Graph-keyed memos: a frozen copy of the core plus the query
+   parameters rendered as an aux string.  Keys of one bucket are
+   structurally equal up to a (vanishingly rare) hash collision, so
+   ordering them by aux makes the snapshot order total in practice. *)
+type gkey = Graph.t * string
+
+let graph_memo () : (gkey, 'a) Memo.t =
+  Memo.create
+    ~hash:(fun (g, _) -> Props.structural_hash g)
+    ~equal:(fun (g, aux) (g', aux') -> aux = aux' && Graph.equal_structure g g')
+    ~order:(fun (_, aux) (_, aux') -> compare aux aux')
+    ~freeze:(fun (g, aux) -> (Graph.copy g, aux))
 
 (* ------------------------------------------------------------------ *)
 (* Steiner: core connectivity tables for min_extra_nodes              *)
@@ -150,7 +165,7 @@ type steiner = {
   sc : Tally.t;
 }
 
-let steiner_memo : steiner_tables Memo.t = Memo.create ()
+let steiner_memo : (gkey, steiner_tables) Memo.t = graph_memo ()
 let steiner_kind = Tally.kind "steiner"
 let c_steiner_scanned = Obs.counter "cache.steiner.subsets_scanned"
 let h_steiner_scanned = Obs.histogram "cache.steiner.subsets_scanned_per_query"
@@ -239,7 +254,7 @@ let steiner_prepare g ~terminals ~cap =
     ^ ";" ^ string_of_int cap
   in
   let tables, was_hit =
-    Memo.find_or_build steiner_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build steiner_memo (g, aux) ~build:(fun _ ->
         Tally.built steiner_kind;
         build_steiner_tables g ~terminals ~cap)
   in
@@ -325,7 +340,7 @@ type maxcut_tables = {
 
 type maxcut = { mt : maxcut_tables; mc : Tally.t }
 
-let maxcut_memo : maxcut_tables Memo.t = Memo.create ()
+let maxcut_memo : (gkey, maxcut_tables) Memo.t = graph_memo ()
 let maxcut_kind = Tally.kind "maxcut"
 
 let build_maxcut_tables g ~volatile =
@@ -346,15 +361,11 @@ let build_maxcut_tables g ~volatile =
 let maxcut_prepare g ~volatile =
   let aux = String.concat "," (List.map string_of_int volatile) in
   let tables, was_hit =
-    Memo.find_or_build maxcut_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build maxcut_memo (g, aux) ~build:(fun _ ->
         Tally.built maxcut_kind;
         build_maxcut_tables g ~volatile)
   in
   { mt = tables; mc = Tally.make maxcut_kind ~was_hit }
-
-let trailing_zeros x =
-  let rec go i x = if x land 1 = 1 then i else go (i + 1) (x lsr 1) in
-  if x = 0 then invalid_arg "trailing_zeros 0" else go 0 x
 
 let maxcut_max ?stop_at c ~extra =
   Tally.query c.mc;
@@ -382,7 +393,7 @@ let maxcut_max ?stop_at c ~extra =
   (try
      if !best >= stop then raise Exit;
      for tt = 1 to (1 lsl s) - 1 do
-       let i = trailing_zeros tt in
+       let i = Bitset.trailing_zeros tt in
        let delta =
          List.fold_left
            (fun acc (j, w) -> if side.(j) = side.(i) then acc + w else acc - w)
@@ -398,84 +409,6 @@ let maxcut_max ?stop_at c ~extra =
   !best
 
 let maxcut_stats c = Tally.stats c.mc
-
-(* ------------------------------------------------------------------ *)
-(* Hamiltonian paths: shared adjacency bitsets for one digraph core   *)
-(* ------------------------------------------------------------------ *)
-
-(* The Theorem 2.2 digraph is ~97% fixed: input pairs add at most k²+k²
-   row-to-row arcs.  The snapshot here is the core's succ/pred bitsets;
-   a query copy-on-writes only the rows its extra arcs touch and runs
-   the search through Hamilton.directed_path_over — no per-pair digraph
-   rebuild, no per-pair full bitset conversion.  Digraphs have no
-   structural-hash module, so the memo keys on (n, sorted arcs). *)
-
-type hampath_tables = { hn : int; hsucc : Bitset.t array; hpred : Bitset.t array }
-
-type hampath = { ht : hampath_tables; hc : Tally.t }
-
-let hampath_lock = Mutex.create ()
-let hampath_kind = Tally.kind "hampath"
-
-let hampath_memo :
-    (int, ((int * (int * int * int) list) * hampath_tables) list) Hashtbl.t =
-  Hashtbl.create 16
-
-(* Like [Memo.find_or_build], the build runs under the lock so each
-   unique core is converted exactly once. *)
-let hampath_prepare dg =
-  let key = (Digraph.n dg, Digraph.arcs dg) in
-  let hash = Hashtbl.hash key in
-  Obs.with_span sp_lookup (fun () ->
-      Mutex.lock hampath_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock hampath_lock)
-        (fun () ->
-          match
-            List.assoc_opt key
-              (Option.value ~default:[] (Hashtbl.find_opt hampath_memo hash))
-          with
-          | Some tables ->
-              { ht = tables; hc = Tally.make hampath_kind ~was_hit:true }
-          | None ->
-              let tables =
-                Obs.with_span sp_build (fun () ->
-                    Tally.built hampath_kind;
-                    {
-                      hn = Digraph.n dg;
-                      hsucc = Digraph.succ_bitsets dg;
-                      hpred = Digraph.pred_bitsets dg;
-                    })
-              in
-              Hashtbl.replace hampath_memo hash
-                ((key, tables)
-                :: Option.value ~default:[]
-                     (Hashtbl.find_opt hampath_memo hash));
-              { ht = tables; hc = Tally.make hampath_kind ~was_hit:false }))
-
-let hampath_directed_path c ~extra =
-  Tally.query c.hc;
-  let t = c.ht in
-  let succ = Array.copy t.hsucc and pred = Array.copy t.hpred in
-  let owned_s = Array.make t.hn false and owned_p = Array.make t.hn false in
-  let touch owned arr v =
-    if not owned.(v) then begin
-      owned.(v) <- true;
-      arr.(v) <- Bitset.copy arr.(v)
-    end
-  in
-  List.iter
-    (fun (u, v) ->
-      if u < 0 || u >= t.hn || v < 0 || v >= t.hn then
-        invalid_arg "Cache.hampath_directed_path: arc out of range";
-      touch owned_s succ u;
-      touch owned_p pred v;
-      Bitset.add succ.(u) v;
-      Bitset.add pred.(v) u)
-    extra;
-  Hamilton.directed_path_over ~succ ~pred
-
-let hampath_stats c = Tally.stats c.hc
 
 (* ------------------------------------------------------------------ *)
 (* Max independent set: conditioned table over the volatile vertices  *)
@@ -501,43 +434,39 @@ let hampath_stats c = Tally.stats c.hc
    stops as soon as the next ub cannot beat the best exact value seen —
    so only the subsets some query actually needs are ever solved.  The
    evaluated set is query-determined, not schedule-determined: racing
-   domains serialize on the per-table lock and the second one finds the
-   memo filled, keeping the solver counters deterministic. *)
+   domains serialize on the evaluation lock and the second one finds the
+   memo filled, keeping the solver counters deterministic.
+
+   The weighted case (MWIS, the Theorem 4.3 gadget) is the same table
+   with w(A) + MWIS(residual) under the core's vertex weights — valid
+   while inputs only add volatile-volatile edges and never touch the
+   weights.  Tables are plain data (no lock, no closure), so they
+   marshal as they are; each prepared instance derives its evaluator
+   from the frozen core on its first lazy solve. *)
 
 type mis_tables = {
-  mi_n : int;
+  mi_core : Graph.t;  (* the frozen core (shared with the memo key) *)
+  mi_weighted : bool;
+  mi_vol : int array;  (* volatile vertex per mask bit *)
   mi_vol_index : int array;  (* vertex -> index into volatile, or -1 *)
   mi_masks : int array;  (* sorted by (ub desc, mask asc) *)
   mi_ubs : int array;
   mi_vals : int array;  (* lazy memo; -1 = not evaluated yet *)
-  mi_lock : Mutex.t;
-  mi_eval : int -> int;  (* mask -> exact value, on the frozen core *)
 }
 
-type mis = { mi : mis_tables; mic : Tally.t }
+type mis = { mi : mis_tables; mic : Tally.t; mutable mieval : (int -> int) option }
 
-let mis_memo : mis_tables Memo.t = Memo.create ()
+let mis_memo : (gkey, mis_tables) Memo.t = graph_memo ()
 let mis_kind = Tally.kind "mis"
 let mwis_kind = Tally.kind "mwis"
 let c_mis_evals = Obs.counter "cache.mis.entries_evaluated"
+let mis_eval_lock = Mutex.create ()
 
-(* The exact per-mask evaluator over a frozen core, shared by the eager
-   build and the snapshot restore path (which re-derives the closure
-   from an entry's frozen graph + aux, see [rebuild_mis_entry]).
-   Returns the volatile index map plus the two halves of the value:
+(* The two halves of a subset's exact value over the frozen core:
    [base_of] (the subset's own size/weight) and [residual_of] (the
    optimum outside volatile ∖ N(A)). *)
-let mis_evaluator ~weighted g ~volatile =
-  let n = Graph.n g in
-  let vol = Array.of_list volatile in
-  let s = Array.length vol in
-  if s > 62 then invalid_arg "Cache.mis_prepare: too many volatile vertices";
-  let vol_index = Array.make n (-1) in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= n then invalid_arg "Cache.mis_prepare: bad vertex";
-      vol_index.(v) <- i)
-    vol;
+let mis_value_parts ~weighted g ~vol ~vol_index =
+  let n = Graph.n g and s = Array.length vol in
   let adj = Graph.adjacency g in
   let nonvol = List.filter (fun v -> vol_index.(v) < 0) (List.init n Fun.id) in
   let vw = Graph.vweights g in
@@ -549,12 +478,7 @@ let mis_evaluator ~weighted g ~volatile =
       done;
       !wa
     end
-    else begin
-      let rec popcount acc m =
-        if m = 0 then acc else popcount (acc + (m land 1)) (m lsr 1)
-      in
-      popcount 0 mask
-    end
+    else Bitset.popcount mask
   in
   let residual_of mask =
     let nbrs = Bitset.create n in
@@ -567,17 +491,23 @@ let mis_evaluator ~weighted g ~volatile =
     let sub, _ = Graph.induced g rest in
     if weighted then fst (Mis.max_weight_set sub) else Mis.alpha sub
   in
-  (vol_index, base_of, residual_of)
+  (base_of, residual_of)
 
-let build_mis_tables ?(weighted = false) g ~volatile =
-  (* Freeze the core: families patch the caller's graph in place between
-     pairs, and the lazy evaluator below must keep seeing the build-time
-     topology and weights. *)
-  let g = Graph.copy g in
+(* [g] is the memo's frozen key: families patch the caller's graph in
+   place between pairs, and the lazy evaluator must keep seeing the
+   build-time topology and weights. *)
+let build_mis_tables ~weighted g ~volatile =
   let n = Graph.n g in
   let vol = Array.of_list volatile in
   let s = Array.length vol in
-  let vol_index, base_of, residual_of = mis_evaluator ~weighted g ~volatile in
+  if s > 62 then invalid_arg "Cache.mis_prepare: too many volatile vertices";
+  let vol_index = Array.make n (-1) in
+  Array.iteri
+    (fun i v ->
+      if v < 0 || v >= n then invalid_arg "Cache.mis_prepare: bad vertex";
+      vol_index.(v) <- i)
+    vol;
+  let base_of, residual_of = mis_value_parts ~weighted g ~vol ~vol_index in
   let adj = Graph.adjacency g in
   (* core adjacency restricted to the volatile set, as index masks *)
   let vadj = Array.make (max s 1) 0 in
@@ -610,51 +540,60 @@ let build_mis_tables ?(weighted = false) g ~volatile =
   Array.sort
     (fun (ua, ma) (ub, mb) -> if ua <> ub then compare ub ua else compare ma mb)
     keyed;
-  let count = Array.length keyed in
-  let mi_masks = Array.make count 0 in
-  let mi_ubs = Array.make count 0 in
-  let mi_vals = Array.make count (-1) in
-  Array.iteri
-    (fun i (u, mk) ->
-      mi_masks.(i) <- mk;
-      mi_ubs.(i) <- u;
-      if mk = 0 then mi_vals.(i) <- rest0)
-    keyed;
   {
-    mi_n = n;
+    mi_core = g;
+    mi_weighted = weighted;
+    mi_vol = vol;
     mi_vol_index = vol_index;
-    mi_masks;
-    mi_ubs;
-    mi_vals;
-    mi_lock = Mutex.create ();
-    mi_eval = (fun mask -> base_of mask + residual_of mask);
+    mi_masks = Array.map snd keyed;
+    mi_ubs = Array.map fst keyed;
+    mi_vals = Array.map (fun (_, mk) -> if mk = 0 then rest0 else -1) keyed;
   }
 
-let mis_prepare g ~volatile =
-  let aux = String.concat "," (List.map string_of_int volatile) in
-  let tables, was_hit =
-    Memo.find_or_build mis_memo ~graph:g ~aux ~build:(fun () ->
-        Tally.built mis_kind;
-        build_mis_tables g ~volatile)
+let prepare_mis ~weighted g ~volatile =
+  let kind = if weighted then mwis_kind else mis_kind in
+  let aux =
+    (if weighted then "w;" else "") ^ String.concat "," (List.map string_of_int volatile)
   in
-  { mi = tables; mic = Tally.make mis_kind ~was_hit }
+  let tables, was_hit =
+    Memo.find_or_build mis_memo (g, aux) ~build:(fun (frozen, _) ->
+        Tally.built kind;
+        build_mis_tables ~weighted frozen ~volatile)
+  in
+  { mi = tables; mic = Tally.make kind ~was_hit; mieval = None }
+
+let mis_prepare = prepare_mis ~weighted:false
+let mwis_prepare = prepare_mis ~weighted:true
 
 (* Lazy evaluation with double-checked locking: the unlocked probe races
    only against a single int store (no tearing on immediates), and a
    stale [-1] just falls through to the locked re-check, so each entry
    is solved exactly once process-wide. *)
-let mis_entry_value t i =
+let mis_entry_value c i =
+  let t = c.mi in
   let v = t.mi_vals.(i) in
   if v >= 0 then v
   else begin
-    Mutex.lock t.mi_lock;
+    let eval =
+      match c.mieval with
+      | Some f -> f
+      | None ->
+          let base_of, residual_of =
+            mis_value_parts ~weighted:t.mi_weighted t.mi_core ~vol:t.mi_vol
+              ~vol_index:t.mi_vol_index
+          in
+          let f mask = base_of mask + residual_of mask in
+          c.mieval <- Some f;
+          f
+    in
+    Mutex.lock mis_eval_lock;
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mi_lock)
+      ~finally:(fun () -> Mutex.unlock mis_eval_lock)
       (fun () ->
         let v = t.mi_vals.(i) in
         if v >= 0 then v
         else begin
-          let v = t.mi_eval t.mi_masks.(i) in
+          let v = eval t.mi_masks.(i) in
           t.mi_vals.(i) <- v;
           Obs.bump c_mis_evals;
           v
@@ -664,10 +603,11 @@ let mis_entry_value t i =
 let mis_alpha c ~extra =
   Tally.query c.mic;
   let t = c.mi in
+  let n = Graph.n t.mi_core in
   let forbidden =
     List.map
       (fun (u, v) ->
-        if u < 0 || u >= t.mi_n || v < 0 || v >= t.mi_n then
+        if u < 0 || u >= n || v < 0 || v >= n then
           invalid_arg "Cache.mis_alpha: edge out of range";
         let iu = t.mi_vol_index.(u) and iv = t.mi_vol_index.(v) in
         if iu < 0 || iv < 0 then
@@ -684,39 +624,15 @@ let mis_alpha c ~extra =
   let i = ref 0 in
   while !i < nentries && t.mi_ubs.(!i) > !best do
     if ok t.mi_masks.(!i) then begin
-      let v = mis_entry_value t !i in
+      let v = mis_entry_value c !i in
       if v > !best then best := v
     end;
     incr i
   done;
   !best
 
-let mis_stats c = Tally.stats c.mic
-
-(* ------------------------------------------------------------------ *)
-(* Max weight independent set: same conditioning, weighted values      *)
-(* ------------------------------------------------------------------ *)
-
-(* Identical decomposition to [mis_prepare] — any independent set splits
-   as A ⊎ S over the volatile cut — but tabulating
-   w(A) + MWIS(core ∖ volatile ∖ N(A)) with the core's vertex weights.
-   Valid for families whose inputs only add volatile-volatile edges and
-   never touch weights (the Theorem 4.3 gadget). *)
-
-type mwis = mis
-
-let mwis_prepare g ~volatile =
-  let aux = "w;" ^ String.concat "," (List.map string_of_int volatile) in
-  let tables, was_hit =
-    Memo.find_or_build mis_memo ~graph:g ~aux ~build:(fun () ->
-        Tally.built mwis_kind;
-        build_mis_tables ~weighted:true g ~volatile)
-  in
-  { mi = tables; mic = Tally.make mwis_kind ~was_hit }
-
 let mwis_weight = mis_alpha
-
-let mwis_stats = mis_stats
+let mis_stats c = Tally.stats c.mic
 
 (* ------------------------------------------------------------------ *)
 (* Node-weighted Steiner: feasibility of every connector set           *)
@@ -741,7 +657,7 @@ type nwsteiner_tables = {
 
 type nwsteiner = { nwt : nwsteiner_tables; nwc : Tally.t }
 
-let nwsteiner_memo : nwsteiner_tables Memo.t = Memo.create ()
+let nwsteiner_memo : (gkey, nwsteiner_tables) Memo.t = graph_memo ()
 let nwsteiner_kind = Tally.kind "nwsteiner"
 
 let build_nwsteiner_tables g ~terminals =
@@ -785,7 +701,7 @@ let nwsteiner_prepare g ~terminals =
     String.concat "," (List.map string_of_int (List.sort_uniq compare terminals))
   in
   let tables, was_hit =
-    Memo.find_or_build nwsteiner_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build nwsteiner_memo (g, aux) ~build:(fun _ ->
         Tally.built nwsteiner_kind;
         build_nwsteiner_tables g ~terminals)
   in
@@ -806,7 +722,7 @@ let nwsteiner_cost c ~weights =
   if Bytes.get t.nw_feasible 0 = '\001' then best := base;
   for mask = 1 to (1 lsl m) - 1 do
     let low = mask land -mask in
-    wsum.(mask) <- wsum.(mask lxor low) + weights.(t.nw_nonterm.(trailing_zeros mask));
+    wsum.(mask) <- wsum.(mask lxor low) + weights.(t.nw_nonterm.(Bitset.trailing_zeros mask));
     if Bytes.get t.nw_feasible mask = '\001' && base + wsum.(mask) < !best then
       best := base + wsum.(mask)
   done;
@@ -824,8 +740,8 @@ let nwsteiner_stats c = Tally.stats c.nwc
    the pair), but the core's reversed-adjacency view is not: a query
    copies the row array and conses its extra arcs on the touched rows —
    the shared core rows are untouched tails — then runs
-   Steiner.directed_over.  Memoized like the hampath snapshot, on the
-   sorted arc list plus the query frame. *)
+   Steiner.directed_over.  Digraphs have no structural-hash module, so
+   the memo keys on the sorted arc list plus the query frame. *)
 
 type dsteiner_tables = {
   dsn : int;
@@ -835,45 +751,26 @@ type dsteiner_tables = {
 }
 
 type dsteiner = { dst : dsteiner_tables; dsc : Tally.t }
+type dkey = int * (int * int * int) list * int * int list  (* n, arcs, root, terminals *)
 
-let dsteiner_lock = Mutex.create ()
 let dsteiner_kind = Tally.kind "dsteiner"
 
-let dsteiner_memo :
-    (int, ((int * (int * int * int) list * int * int list) * dsteiner_tables) list)
-    Hashtbl.t =
-  Hashtbl.create 16
+let dsteiner_memo : (dkey, dsteiner_tables) Memo.t =
+  Memo.create ~hash:Hashtbl.hash ~equal:( = ) ~order:compare ~freeze:Fun.id
 
 let dsteiner_prepare dg ~root ~terminals =
   let terminals = List.sort_uniq compare terminals in
-  let key = (Digraph.n dg, Digraph.arcs dg, root, terminals) in
-  let hash = Hashtbl.hash key in
-  let probe () =
-    List.assoc_opt key
-      (Option.value ~default:[] (Hashtbl.find_opt dsteiner_memo hash))
+  let tables, was_hit =
+    Memo.find_or_build dsteiner_memo
+      (Digraph.n dg, Digraph.arcs dg, root, terminals)
+      ~build:(fun _ ->
+        Tally.built dsteiner_kind;
+        let n = Digraph.n dg in
+        let rev = Array.make n [] in
+        Digraph.iter_arcs (fun u v w -> rev.(v) <- (u, w) :: rev.(v)) dg;
+        { dsn = n; dsrev = rev; dsroot = root; dsterms = terminals })
   in
-  Obs.with_span sp_lookup (fun () ->
-      Mutex.lock dsteiner_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock dsteiner_lock)
-        (fun () ->
-          match probe () with
-          | Some tables ->
-              { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit:true }
-          | None ->
-              let tables =
-                Obs.with_span sp_build (fun () ->
-                    Tally.built dsteiner_kind;
-                    let n = Digraph.n dg in
-                    let rev = Array.make n [] in
-                    Digraph.iter_arcs (fun u v w -> rev.(v) <- (u, w) :: rev.(v)) dg;
-                    { dsn = n; dsrev = rev; dsroot = root; dsterms = terminals })
-              in
-              Hashtbl.replace dsteiner_memo hash
-                ((key, tables)
-                :: Option.value ~default:[]
-                     (Hashtbl.find_opt dsteiner_memo hash));
-              { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit:false }))
+  { dst = tables; dsc = Tally.make dsteiner_kind ~was_hit }
 
 let dsteiner_cost ?cutoff c ~extra =
   Tally.query c.dsc;
@@ -897,14 +794,14 @@ type domset_tables = { dn : int; dradius : int; dballs : Bitset.t array }
 
 type domset = { dt : domset_tables; dc : Tally.t }
 
-let domset_memo : domset_tables Memo.t = Memo.create ()
+let domset_memo : (gkey, domset_tables) Memo.t = graph_memo ()
 let domset_kind = Tally.kind "domset"
 
 let domset_prepare g ~radius =
   if radius < 1 then invalid_arg "Cache.domset_prepare: radius must be >= 1";
   let aux = string_of_int radius in
   let tables, was_hit =
-    Memo.find_or_build domset_memo ~graph:g ~aux ~build:(fun () ->
+    Memo.find_or_build domset_memo (g, aux) ~build:(fun _ ->
         Tally.built domset_kind;
         {
           dn = Graph.n g;
@@ -946,164 +843,70 @@ let domset_balls c ~extra =
 let domset_stats c = Tally.stats c.dc
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot / restore: persistable view of the marshal-safe memos     *)
+(* Snapshot / restore                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every memo family crosses the Marshal boundary.  The MIS/MWIS tables
-   hold a mutex and an evaluation closure, which cannot be marshalled
-   directly: they are projected to the marshal-safe arrays (masks, upper
-   bounds, the lazily-solved values) plus the frozen entry graph and aux
-   string, from which [restore] re-derives a fresh lock and evaluator —
-   so solved entries survive the round trip and unsolved ones stay lazy.
-   Buckets are hash-sorted and hampath/dsteiner entries key-sorted, so
-   identical memo contents marshal to identical bytes — which lets the
-   store checksum snapshots like any other block. *)
-type mis_entry_dump = {
-  dmi_g : Graph.t;  (** the entry's frozen core graph *)
-  dmi_aux : string;  (** ["w;"]-prefixed for MWIS, then the volatile list *)
-  dmi_masks : int array;
-  dmi_ubs : int array;
-  dmi_vals : int array;  (** -1 where still unsolved at snapshot time *)
-}
-
+(* Every memo is plain data, so a snapshot is each memo's sorted
+   [Memo.entries] marshalled under one tag: identical memo contents
+   marshal to identical bytes, which lets the store checksum snapshots
+   like any other block.  MIS values are read under no lock: a racing
+   lazy solve can only flip a cell from -1 to its final value, and a
+   stale -1 just re-solves after restore. *)
 type dump = {
-  dump_steiner : (int * steiner_tables Memo.entry list) list;
-  dump_maxcut : (int * maxcut_tables Memo.entry list) list;
-  dump_mis : (int * mis_entry_dump list) list;
-  dump_nwsteiner : (int * nwsteiner_tables Memo.entry list) list;
-  dump_domset : (int * domset_tables Memo.entry list) list;
-  dump_hampath : ((int * (int * int * int) list) * hampath_tables) list;
-  dump_dsteiner :
-    ((int * (int * int * int) list * int * int list) * dsteiner_tables) list;
+  d_steiner : (gkey * steiner_tables) list;
+  d_maxcut : (gkey * maxcut_tables) list;
+  d_mis : (gkey * mis_tables) list;
+  d_nwsteiner : (gkey * nwsteiner_tables) list;
+  d_domset : (gkey * domset_tables) list;
+  d_dsteiner : (dkey * dsteiner_tables) list;
 }
 
-(* Bumped from "chcache1" when the MIS/MWIS projection joined the dump:
-   an old snapshot fails the tag check cleanly (reported corrupt by the
-   sweep store, recomputed) instead of being misparsed. *)
-let snapshot_tag = "chcache2"
-
-(* The volatile list and weighted flag round-trip through the aux string
-   the prepare functions key the memo with: ["w;"] marks MWIS, the rest
-   is the comma-joined volatile vertex list. *)
-let parse_mis_aux aux =
-  let weighted =
-    String.length aux >= 2 && aux.[0] = 'w' && aux.[1] = ';'
-  in
-  let rest =
-    if weighted then String.sub aux 2 (String.length aux - 2) else aux
-  in
-  let volatile =
-    if rest = "" then []
-    else List.map int_of_string (String.split_on_char ',' rest)
-  in
-  (weighted, volatile)
-
-let dump_mis_entry (e : mis_tables Memo.entry) =
-  let t = e.Memo.etables in
-  {
-    dmi_g = e.Memo.eg;
-    dmi_aux = e.Memo.eaux;
-    dmi_masks = t.mi_masks;
-    dmi_ubs = t.mi_ubs;
-    (* copied under no lock: a racing lazy solve can only flip a cell
-       from -1 to its final value, and a stale -1 just re-solves after
-       restore *)
-    dmi_vals = Array.copy t.mi_vals;
-  }
-
-let rebuild_mis_entry d =
-  let weighted, volatile = parse_mis_aux d.dmi_aux in
-  let vol_index, base_of, residual_of =
-    mis_evaluator ~weighted d.dmi_g ~volatile
-  in
-  {
-    Memo.eg = d.dmi_g;
-    eaux = d.dmi_aux;
-    etables =
-      {
-        mi_n = Graph.n d.dmi_g;
-        mi_vol_index = vol_index;
-        mi_masks = d.dmi_masks;
-        mi_ubs = d.dmi_ubs;
-        mi_vals = d.dmi_vals;
-        mi_lock = Mutex.create ();
-        mi_eval = (fun mask -> base_of mask + residual_of mask);
-      };
-  }
-
-let keyed_entries lock tbl =
-  Mutex.lock lock;
-  let l = Hashtbl.fold (fun _ es acc -> es @ acc) tbl [] in
-  Mutex.unlock lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) l
+(* Changes with the dump layout (it was "chcache2" before every memo
+   shared one entry shape): an older snapshot fails the tag check
+   cleanly (reported corrupt by the sweep store, recomputed) instead of
+   being misparsed. *)
+let snapshot_tag = "chcache3"
 
 let snapshot () =
   let dump =
     {
-      dump_steiner = Memo.entries steiner_memo;
-      dump_maxcut = Memo.entries maxcut_memo;
-      dump_mis =
-        List.map
-          (fun (hash, es) -> (hash, List.map dump_mis_entry es))
-          (Memo.entries mis_memo);
-      dump_nwsteiner = Memo.entries nwsteiner_memo;
-      dump_domset = Memo.entries domset_memo;
-      dump_hampath = keyed_entries hampath_lock hampath_memo;
-      dump_dsteiner = keyed_entries dsteiner_lock dsteiner_memo;
+      d_steiner = Memo.entries steiner_memo;
+      d_maxcut = Memo.entries maxcut_memo;
+      d_mis = Memo.entries mis_memo;
+      d_nwsteiner = Memo.entries nwsteiner_memo;
+      d_domset = Memo.entries domset_memo;
+      d_dsteiner = Memo.entries dsteiner_memo;
     }
   in
   snapshot_tag ^ Marshal.to_string dump []
 
-let restore_memo memo dumped =
-  List.fold_left
-    (fun acc (hash, es) ->
-      List.fold_left
-        (fun acc e -> if Memo.add_if_absent memo ~hash e then acc + 1 else acc)
-        acc es)
-    0 dumped
-
-let restore_keyed lock tbl dumped =
-  Mutex.lock lock;
-  let added =
-    List.fold_left
-      (fun acc ((key, _) as kt) ->
-        let hash = Hashtbl.hash key in
-        let bucket = Option.value ~default:[] (Hashtbl.find_opt tbl hash) in
-        if List.mem_assoc key bucket then acc
-        else begin
-          Hashtbl.replace tbl hash (kt :: bucket);
-          acc + 1
-        end)
-      0 dumped
-  in
-  Mutex.unlock lock;
-  added
+(* The lazy evaluator indexes the frozen core through these arrays, so
+   a mangled MIS entry fails the restore rather than poisoning the memo. *)
+let mis_entry_ok (_, t) =
+  let m = Array.length t.mi_masks in
+  Array.length t.mi_ubs = m
+  && Array.length t.mi_vals = m
+  && Array.length t.mi_vol_index = Graph.n t.mi_core
+  && Array.length t.mi_vol <= 62
+  && (Array.iteri (fun i v -> if t.mi_vol_index.(v) <> i then raise Exit) t.mi_vol;
+      true)
 
 let restore s =
   let tl = String.length snapshot_tag in
   if String.length s < tl || String.sub s 0 tl <> snapshot_tag then
     failwith "Cache.restore: not a cache snapshot";
   let dump =
-    try (Marshal.from_string s tl : dump)
-    with _ -> failwith "Cache.restore: unparseable snapshot"
-  in
-  let mis_rebuilt =
-    (* the evaluator rebuild parses the aux string and indexes the frozen
-       graph, so a snapshot with mangled entries fails here rather than
-       poisoning the memo *)
     try
-      List.map
-        (fun (hash, es) -> (hash, List.map rebuild_mis_entry es))
-        dump.dump_mis
+      let d = (Marshal.from_string s tl : dump) in
+      if List.for_all mis_entry_ok d.d_mis then d else raise Exit
     with _ -> failwith "Cache.restore: unparseable snapshot"
   in
-  restore_memo steiner_memo dump.dump_steiner
-  + restore_memo maxcut_memo dump.dump_maxcut
-  + restore_memo mis_memo mis_rebuilt
-  + restore_memo nwsteiner_memo dump.dump_nwsteiner
-  + restore_memo domset_memo dump.dump_domset
-  + restore_keyed hampath_lock hampath_memo dump.dump_hampath
-  + restore_keyed dsteiner_lock dsteiner_memo dump.dump_dsteiner
+  Memo.restore steiner_memo dump.d_steiner
+  + Memo.restore maxcut_memo dump.d_maxcut
+  + Memo.restore mis_memo dump.d_mis
+  + Memo.restore nwsteiner_memo dump.d_nwsteiner
+  + Memo.restore domset_memo dump.d_domset
+  + Memo.restore dsteiner_memo dump.d_dsteiner
 
 let clear () =
   Memo.clear steiner_memo;
@@ -1111,9 +914,4 @@ let clear () =
   Memo.clear mis_memo;
   Memo.clear nwsteiner_memo;
   Memo.clear domset_memo;
-  Mutex.lock hampath_lock;
-  Hashtbl.reset hampath_memo;
-  Mutex.unlock hampath_lock;
-  Mutex.lock dsteiner_lock;
-  Hashtbl.reset dsteiner_memo;
-  Mutex.unlock dsteiner_lock
+  Memo.clear dsteiner_memo

@@ -6,23 +6,26 @@ open Ch_graph
     across the whole 2^K × 2^K input-pair space: only O(k) input edges
     vary per pair.  This module precomputes the solver work that depends
     on the core alone — Steiner connectivity tables, the conditioned
-    max-cut table, dominating-set balls — and answers per-pair queries
-    from those tables plus the input-edge delta, exactly matching the
-    from-scratch solver results.
+    max-cut and MIS/MWIS tables, node-weighted Steiner feasibility,
+    directed-Steiner reversed rows, dominating-set balls — and answers
+    per-pair queries from those tables plus the input-edge delta, exactly
+    matching the from-scratch solver results.
 
-    Prepared tables are memoized globally, keyed by
-    {!Props.structural_hash} of the core graph plus the query parameters
-    (with a full structural-equality re-check, so hash collisions cannot
-    serve wrong tables).  Tables are immutable once published and safe to
-    share across domains; the per-instance query scratch is not, so use
-    one prepared instance per worker (the framework prepares one per
-    verification chunk).
+    Every cache memoizes its tables globally in one memo shape: hash
+    buckets of (frozen key, tables) entries, probed with a full equality
+    re-check so hash collisions cannot serve wrong tables.  Graph cores
+    are keyed by {!Props.structural_hash} plus the query parameters;
+    the directed-Steiner core by its sorted arc list and query frame.
+    Tables are plain data, safe to share across domains (MIS values are
+    filled lazily under one lock); the per-instance query scratch is
+    not, so use one prepared instance per worker (the framework prepares
+    one per verification chunk).
 
     {b Counters:} a [miss] is a core-table computation; a [hit] is an
     operation served from cached tables (a memoized prepare, or a
     per-pair query). *)
 
-type stats = { hits : int; misses : int }
+type stats = { cache_hits : int; cache_misses : int }
 
 (** {1 Steiner trees: {!Steiner.min_extra_nodes} on core + input edges} *)
 
@@ -68,22 +71,6 @@ val maxcut_max : ?stop_at:int -> maxcut -> extra:(int * int * int) list -> int
 
 val maxcut_stats : maxcut -> stats
 
-(** {1 Hamiltonian paths: shared adjacency bitsets} *)
-
-type hampath
-
-val hampath_prepare : Digraph.t -> hampath
-(** Snapshot the core digraph's successor/predecessor bitsets, memoized
-    on (n, sorted arc list). *)
-
-val hampath_directed_path : hampath -> extra:(int * int) list -> int list option
-(** [Hamilton.directed_path] of [core + extra]: the shared bitsets are
-    patched copy-on-write on the rows the extra arcs touch, then searched
-    through {!Hamilton.directed_path_over}.  Extra arcs must stay in
-    range; duplicates of core arcs are harmless (bitset inserts). *)
-
-val hampath_stats : hampath -> stats
-
 (** {1 Max independent set: conditioned table over the volatile vertices} *)
 
 type mis
@@ -110,23 +97,20 @@ val mis_alpha : mis -> extra:(int * int) list -> int
 
 val mis_stats : mis -> stats
 
-(** {1 Max weight independent set: conditioned table, weighted values} *)
+(** {2 The weighted case} *)
 
-type mwis
-
-val mwis_prepare : Graph.t -> volatile:int list -> mwis
+val mwis_prepare : Graph.t -> volatile:int list -> mis
 (** The weighted twin of {!mis_prepare}: for every core-independent
     subset A of [volatile], tabulate [w(A) + mwis(core minus volatile
     minus N(A))] under the core's vertex weights.  Sound for families
     whose inputs only add volatile-volatile edges and leave the weights
-    fixed (the Theorem 4.3 gadget).  Same limits as {!mis_prepare}. *)
+    fixed (the Theorem 4.3 gadget).  Same limits as {!mis_prepare};
+    its counters are [cache.mwis.*]. *)
 
-val mwis_weight : mwis -> extra:(int * int) list -> int
+val mwis_weight : mis -> extra:(int * int) list -> int
 (** The maximum independent-set weight of [core + extra], i.e. exactly
     [fst (Mis.max_weight_set core_with_extra)].  Every [extra] edge must
     have both endpoints volatile. *)
-
-val mwis_stats : mwis -> stats
 
 (** {1 Node-weighted Steiner: connector-set feasibility table} *)
 
@@ -155,7 +139,7 @@ type dsteiner
 
 val dsteiner_prepare : Digraph.t -> root:int -> terminals:int list -> dsteiner
 (** Snapshot the core's reversed adjacency rows, memoized on
-    (n, sorted arc list, root, terminals) like {!hampath_prepare}. *)
+    (n, sorted arc list, root, terminals). *)
 
 val dsteiner_cost :
   ?cutoff:int -> dsteiner -> extra:(int * int * int) list -> int option
@@ -196,22 +180,20 @@ val clear : unit -> unit
     The sweep store ([Ch_sweep]) and the serve daemon ([Ch_serve])
     persist the memo tables, so a resumed sweep — or a freshly started
     server — begins from a previous run's core tables instead of
-    rebuilding them.  Snapshots carry all seven memo families: the
-    MIS/MWIS tables, whose live form holds a mutex and an evaluation
-    closure, are projected to their marshal-safe arrays (masks, bounds,
-    lazily-solved values) and {!restore} re-derives a fresh lock and
-    evaluator from the entry's frozen graph — solved entries survive the
+    rebuilding them.  A snapshot carries every memo's entries as they
+    are (all tables are plain data): solved MIS/MWIS values survive the
     round trip, unsolved ones stay lazy. *)
 
 val snapshot : unit -> string
-(** A self-contained byte string of the current marshal-safe memo
-    contents, deterministic in those contents (buckets and keyed entries
-    are sorted). *)
+(** A self-contained byte string of the current memo contents,
+    deterministic in those contents: entries are sorted by bucket hash,
+    then by key within a bucket, so the order in which tables were built
+    does not show. *)
 
 val restore : string -> int
 (** Merge a {!snapshot} back in, keeping any table the process already
-    holds (full structural re-check, never a blind overwrite); returns
-    the number of tables added.  @raise Failure on a byte string that is
-    not a cache snapshot or fails to parse — callers checksum snapshots
-    before restoring, so this is a defense-in-depth check, not the
-    integrity mechanism. *)
+    holds (full key re-check, never a blind overwrite); returns the
+    number of tables added.  @raise Failure on a byte string that is not
+    a snapshot of this format (older formats included) or fails to parse
+    — callers checksum snapshots before restoring, so this is a
+    defense-in-depth check, not the integrity mechanism. *)

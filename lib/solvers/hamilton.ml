@@ -168,10 +168,8 @@ let starts_to_try ctx =
   | [ s ] -> Some [ s ]
   | _ -> None (* two vertices with no in-arc: no Hamiltonian path *)
 
-let directed_path_over ~succ ~pred =
-  let ctx = { n = Array.length succ; succ; pred } in
-  if Array.length pred <> ctx.n then
-    invalid_arg "Hamilton.directed_path_over: succ/pred length mismatch";
+let directed_path dg =
+  let ctx = make_ctx dg in
   if ctx.n = 0 then None
   else if ctx.n = 1 then Some [ 0 ]
   else
@@ -182,10 +180,6 @@ let directed_path_over ~succ ~pred =
           (fun acc s ->
             match acc with Some _ -> acc | None -> search ctx s Any_end)
           None starts
-
-let directed_path dg =
-  directed_path_over ~succ:(Digraph.succ_bitsets dg)
-    ~pred:(Digraph.pred_bitsets dg)
 
 let directed_cycle dg =
   let ctx = make_ctx dg in

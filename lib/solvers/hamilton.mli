@@ -7,13 +7,6 @@ open Ch_graph
 val directed_path : Digraph.t -> int list option
 (** A Hamiltonian path with arbitrary endpoints, or [None]. *)
 
-val directed_path_over : succ:Bitset.t array -> pred:Bitset.t array -> int list option
-(** {!directed_path} straight over adjacency bitsets (vertex [v]'s
-    out-neighbors in [succ.(v)], in-neighbors in [pred.(v)]) — the entry
-    point for callers that patch shared core bitsets per query instead of
-    rebuilding a digraph ({!Cache.hampath_directed_path}).  The arrays are
-    only read. *)
-
 val directed_path_between : Digraph.t -> src:int -> dst:int -> int list option
 
 val directed_cycle : Digraph.t -> int list option

@@ -16,10 +16,6 @@ let flip_delta g side v =
     (fun acc (u, w) -> if side.(u) = side.(v) then acc + w else acc - w)
     0 (Graph.neighbors_w g v)
 
-let trailing_zeros x =
-  let rec go i x = if x land 1 = 1 then i else go (i + 1) (x lsr 1) in
-  if x = 0 then invalid_arg "trailing_zeros 0" else go 0 x
-
 let max_cut g =
   Obs.with_span sp_maxcut (fun () ->
       let n = Graph.n g in
@@ -34,7 +30,7 @@ let max_cut g =
         Obs.incr c_flips steps;
         Obs.observe h_flips steps;
         for t = 1 to steps do
-          let v = 1 + trailing_zeros t in
+          let v = 1 + Bitset.trailing_zeros t in
           let delta = ref 0 in
           Array.iter
             (fun (u, w) -> if side.(u) = side.(v) then delta := !delta + w else delta := !delta - w)
@@ -66,7 +62,7 @@ let exists_of_weight g bound =
         let taken = ref 0 and found = ref false in
         let t = ref 1 in
         while (not !found) && !t <= steps do
-          let v = 1 + trailing_zeros !t in
+          let v = 1 + Bitset.trailing_zeros !t in
           let delta = ref 0 in
           Array.iter
             (fun (u, w) -> if side.(u) = side.(v) then delta := !delta + w else delta := !delta - w)
@@ -122,7 +118,7 @@ let conditioned_max g ~volatile =
   let weight = ref 0 and best = ref 0 and va = ref 0 in
   if n > 0 then
     for t = 1 to (1 lsl n) - 1 do
-      let p = trailing_zeros t in
+      let p = Bitset.trailing_zeros t in
       let v = vertex_at.(p) in
       let delta = ref 0 in
       Array.iter

@@ -66,20 +66,6 @@ let test_maxcut_graphs () =
     (Maxcut_lb.apply_inputs c)
     (sample_pairs ~input_bits:4 ~samples:12)
 
-(* Hampath's instances are digraphs; difference the sorted arc lists. *)
-let test_hampath_graphs () =
-  let c = Hampath_lb.build_core ~k:2 in
-  List.iteri
-    (fun i (x, y) ->
-      let patched = Hampath_lb.apply_inputs c x y in
-      let fresh = Hampath_lb.build ~k:2 x y in
-      Alcotest.(check bool)
-        (Printf.sprintf "hampath: digraph differential at pair %d" i)
-        true
-        (Digraph.n patched = Digraph.n fresh
-        && Digraph.arcs patched = Digraph.arcs fresh))
-    (sample_pairs ~input_bits:4 ~samples:12)
-
 let test_steiner_graphs () =
   let fam = Steiner_lb.family ~k:2 in
   let c = Steiner_lb.build_core ~k:2 in
@@ -245,6 +231,79 @@ let prop_mis_cache =
       let c = Cache.mis_prepare g ~volatile in
       Cache.mis_alpha c ~extra = Ch_solvers.Mis.alpha g')
 
+let prop_mwis_cache =
+  QCheck.Test.make ~count:60 ~name:"Cache.mwis_weight = Mis.max_weight_set"
+    QCheck.(pair (int_range 2 10) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let g = Gen.gnp ~seed n 0.35 in
+      let rng = Random.State.make [| seed; 41 |] in
+      for v = 0 to n - 1 do
+        Graph.set_vweight g v (Random.State.int rng 9)
+      done;
+      let volatile = List.init ((n / 2) + 1) Fun.id in
+      let extra = random_extra ~seed:(seed + 1) g volatile in
+      let g' = Graph.copy g in
+      List.iter (fun (u, v) -> Graph.add_edge g' u v) extra;
+      Cache.clear ();
+      let c = Cache.mwis_prepare g ~volatile in
+      Cache.mwis_weight c ~extra = fst (Ch_solvers.Mis.max_weight_set g'))
+
+(* Weights-only queries: the topology is the core's, the vertex weights
+   are the per-query input. *)
+let prop_nwsteiner_cache =
+  QCheck.Test.make ~count:60 ~name:"Cache.nwsteiner_cost = Steiner.node_weighted"
+    QCheck.(pair (int_range 2 11) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let g = Gen.random_connected ~seed n 0.3 in
+      let rng = Random.State.make [| seed; 43 |] in
+      let terminals =
+        List.sort_uniq compare
+          (List.init (1 + Random.State.int rng 3) (fun _ -> Random.State.int rng n))
+      in
+      let weights = Array.init n (fun _ -> Random.State.int rng 9) in
+      let g' = Graph.copy g in
+      Array.iteri (Graph.set_vweight g') weights;
+      Cache.clear ();
+      let c = Cache.nwsteiner_prepare g ~terminals in
+      Cache.nwsteiner_cost c ~weights = Ch_solvers.Steiner.node_weighted g' terminals)
+
+(* Extra arcs are random weighted non-arcs of the core; the cutoff is
+   drawn around the unbounded optimum so both decision outcomes occur. *)
+let prop_dsteiner_cache =
+  QCheck.Test.make ~count:60 ~name:"Cache.dsteiner_cost = Steiner.directed"
+    QCheck.(pair (int_range 2 8) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let dg = Gen.random_digraph ~seed n 0.3 in
+      let rng = Random.State.make [| seed; 47 |] in
+      let terminals =
+        List.sort_uniq compare (List.init (min n 3) (fun _ -> Random.State.int rng n))
+      in
+      let root = List.hd terminals in
+      let extra =
+        List.concat_map
+          (fun u ->
+            List.filter_map
+              (fun v ->
+                if u <> v && (not (Digraph.mem_arc dg u v)) && Random.State.int rng 4 = 0
+                then Some (u, v, 1 + Random.State.int rng 5)
+                else None)
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let dg' = Digraph.copy dg in
+      List.iter (fun (u, v, w) -> Digraph.add_arc ~w dg' u v) extra;
+      let scratch = Ch_solvers.Steiner.directed dg' ~root terminals in
+      let cutoff =
+        match scratch with
+        | Some c -> Random.State.int rng (c + 3) - 1
+        | None -> Random.State.int rng 6
+      in
+      Cache.clear ();
+      let c = Cache.dsteiner_prepare dg ~root ~terminals in
+      Cache.dsteiner_cost c ~extra = scratch
+      && Cache.dsteiner_cost ~cutoff c ~extra
+         = Ch_solvers.Steiner.directed ~cutoff dg' ~root terminals)
+
 let prop_domset_cache =
   QCheck.Test.make ~count:60 ~name:"Domset.min_size ~balls:(Cache.domset_balls) = plain"
     QCheck.(pair (int_range 2 10) (int_range 0 10_000))
@@ -269,22 +328,22 @@ let test_memo_counters () =
   let s1 = Cache.domset_stats c1 in
   Alcotest.(check (pair int int))
     "first prepare is a miss" (0, 1)
-    (s1.Cache.hits, s1.Cache.misses);
+    (s1.Cache.cache_hits, s1.Cache.cache_misses);
   (* a structurally equal but physically distinct graph must hit *)
   let c2 = Cache.domset_prepare (Mds_lb.core_graph ~k:2) ~radius:1 in
   let s2 = Cache.domset_stats c2 in
   Alcotest.(check (pair int int))
     "memoized prepare is a hit" (1, 0)
-    (s2.Cache.hits, s2.Cache.misses);
+    (s2.Cache.cache_hits, s2.Cache.cache_misses);
   ignore (Cache.domset_balls c2 ~extra:[]);
   let s3 = Cache.domset_stats c2 in
-  Alcotest.(check int) "queries count as hits" 2 s3.Cache.hits;
+  Alcotest.(check int) "queries count as hits" 2 s3.Cache.cache_hits;
   Cache.clear ();
   let c4 = Cache.domset_prepare g ~radius:1 in
   let s4 = Cache.domset_stats c4 in
   Alcotest.(check (pair int int))
     "clear drops the memo" (0, 1)
-    (s4.Cache.hits, s4.Cache.misses)
+    (s4.Cache.cache_hits, s4.Cache.cache_misses)
 
 let test_memo_aux_keying () =
   Cache.clear ();
@@ -295,12 +354,12 @@ let test_memo_aux_keying () =
   let s = Cache.steiner_stats c in
   Alcotest.(check (pair int int))
     "different terminals miss" (0, 1)
-    (s.Cache.hits, s.Cache.misses);
+    (s.Cache.cache_hits, s.Cache.cache_misses);
   let c' = Cache.steiner_prepare g ~terminals:[ 0; 1 ] ~cap:2 in
   let s' = Cache.steiner_stats c' in
   Alcotest.(check (pair int int))
     "different cap misses" (0, 1)
-    (s'.Cache.hits, s'.Cache.misses)
+    (s'.Cache.cache_hits, s'.Cache.cache_misses)
 
 (* ---------------------------------------------------------------- *)
 (* Seed derivation: sampled verification is schedule-independent    *)
@@ -357,8 +416,6 @@ let () =
           Alcotest.test_case "maxis core+inputs = build" `Quick test_maxis_graphs;
           Alcotest.test_case "maxcut core+inputs = build" `Quick
             test_maxcut_graphs;
-          Alcotest.test_case "hampath core+inputs = build" `Quick
-            test_hampath_graphs;
           Alcotest.test_case "steiner core+inputs = build" `Quick
             test_steiner_graphs;
         ] );
@@ -378,6 +435,9 @@ let () =
           qt prop_steiner_cache;
           qt prop_maxcut_cache;
           qt prop_mis_cache;
+          qt prop_mwis_cache;
+          qt prop_nwsteiner_cache;
+          qt prop_dsteiner_cache;
           qt prop_domset_cache;
         ] );
       ( "memoization",

@@ -12,6 +12,9 @@ open Ch_sweep
 module Obs = Ch_obs.Obs
 module Cache = Ch_solvers.Cache
 module Mis = Ch_solvers.Mis
+module Steiner = Ch_solvers.Steiner
+module Maxcut = Ch_solvers.Maxcut
+module Domset = Ch_solvers.Domset
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -360,27 +363,123 @@ let test_store_corruption () =
 (* Memo-table snapshots and multi-process fan-out                   *)
 (* ---------------------------------------------------------------- *)
 
+(* Every memo crosses the snapshot: one table per memo, restored into
+   an empty cache, comes back exactly once, serves the next prepare as a
+   hit and answers like the from-scratch solvers. *)
 let test_cache_snapshot_roundtrip () =
   Cache.clear ();
-  (* populate two memo tables the way the incremental engine would *)
   let g = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ] in
-  ignore (Cache.domset_prepare g ~radius:1);
-  ignore (Cache.steiner_prepare g ~terminals:[ 0; 2 ] ~cap:4);
+  let patched = Graph.copy g in
+  Graph.add_edge patched 0 2;
+  let weights = [| 1; 5; 1; 2; 2 |] in
+  let weighted = Graph.copy g in
+  Array.iteri (Graph.set_vweight weighted) weights;
+  let dg = Digraph.of_arcs 5 [ (0, 1); (1, 2); (2, 3); (3, 4) ] in
+  let dg' = Digraph.copy dg in
+  Digraph.add_arc dg' 0 3;
+  let volatile = [ 0; 1; 2 ] in
+  (* prepares one table per memo, checks its answer, returns the misses *)
+  let prepare_and_check label =
+    let int what = Alcotest.(check int) (label ^ ": " ^ what) in
+    let opt what = Alcotest.(check (option int)) (label ^ ": " ^ what) in
+    let st = Cache.steiner_prepare g ~terminals:[ 0; 2 ] ~cap:4 in
+    opt "steiner"
+      (Steiner.min_extra_nodes ~cap:4 patched [ 0; 2 ])
+      (Cache.steiner_min_extra st ~extra:[ (0, 2) ]);
+    let mc = Cache.maxcut_prepare g ~volatile in
+    int "maxcut" (fst (Maxcut.max_cut patched)) (Cache.maxcut_max mc ~extra:[ (0, 2, 1) ]);
+    let mi = Cache.mis_prepare g ~volatile in
+    int "mis" (Mis.alpha patched) (Cache.mis_alpha mi ~extra:[ (0, 2) ]);
+    let nw = Cache.nwsteiner_prepare g ~terminals:[ 0; 2 ] in
+    int "nwsteiner" (Steiner.node_weighted weighted [ 0; 2 ]) (Cache.nwsteiner_cost nw ~weights);
+    let ds = Cache.dsteiner_prepare dg ~root:0 ~terminals:[ 0; 3; 4 ] in
+    opt "dsteiner"
+      (Steiner.directed dg' ~root:0 [ 0; 3; 4 ])
+      (Cache.dsteiner_cost ds ~extra:[ (0, 3, 1) ]);
+    let dc = Cache.domset_prepare g ~radius:1 in
+    int "domset" (Domset.min_size patched)
+      (Domset.min_size ~balls:(Cache.domset_balls dc ~extra:[ (0, 2) ]) patched);
+    List.fold_left
+      (fun acc s -> acc + s.Cache.cache_misses)
+      0
+      [
+        Cache.steiner_stats st;
+        Cache.maxcut_stats mc;
+        Cache.mis_stats mi;
+        Cache.nwsteiner_stats nw;
+        Cache.dsteiner_stats ds;
+        Cache.domset_stats dc;
+      ]
+  in
+  Alcotest.(check int) "an empty cache builds every table" 6
+    (prepare_and_check "before");
   let snap = Cache.snapshot () in
   Cache.clear ();
-  let n = Cache.restore snap in
-  Alcotest.(check bool) "restore repopulates tables" true (n > 0);
+  Alcotest.(check int) "restore adds one table per memo" 6 (Cache.restore snap);
   Alcotest.(check int) "second restore adds nothing" 0 (Cache.restore snap);
+  Alcotest.(check int) "restored tables serve every prepare" 0
+    (prepare_and_check "after restore");
   (match Cache.restore "garbage" with
   | _ -> Alcotest.fail "garbage restore did not fail"
   | exception Failure _ -> ());
+  (match Cache.restore (String.sub snap 0 (String.length snap - 5)) with
+  | _ -> Alcotest.fail "truncated restore did not fail"
+  | exception Failure _ -> ());
+  (* the same payload under the previous format's tag is refused *)
+  let tl = String.length "chcache3" in
+  (match Cache.restore ("chcache2" ^ String.sub snap tl (String.length snap - tl)) with
+  | _ -> Alcotest.fail "chcache2 restore did not fail"
+  | exception Failure _ -> ());
   Cache.clear ()
 
-(* The MIS/MWIS memo tables hold a mutex and a lazy evaluation closure,
-   so their snapshot form is a projection to marshal-safe arrays and
-   restore re-derives the lock and evaluator.  Check the full round
-   trip: lazily-solved values survive, restored tables answer queries
-   bit-identically to the from-scratch solvers on the patched graph. *)
+(* A snapshot is a function of the memo contents, not of the order the
+   tables were built in. *)
+let test_snapshot_build_order () =
+  let g = Graph.of_edges 6 [ (0, 3); (1, 4); (2, 5); (3, 4); (4, 5) ] in
+  Graph.set_vweight g 4 7;
+  let snap_after builds =
+    Cache.clear ();
+    List.iter (fun build -> build ()) builds;
+    Cache.snapshot ()
+  in
+  let mis () = ignore (Cache.mis_prepare g ~volatile:[ 0; 1; 2 ]) in
+  let mwis () = ignore (Cache.mwis_prepare g ~volatile:[ 0; 1; 2 ]) in
+  let steiner terminals () = ignore (Cache.steiner_prepare g ~terminals ~cap:2) in
+  Alcotest.(check bool) "mis/mwis order" true
+    (snap_after [ mis; mwis ] = snap_after [ mwis; mis ]);
+  Alcotest.(check bool) "steiner terminal-set order" true
+    (snap_after [ steiner [ 0; 2 ]; steiner [ 1; 3 ] ]
+    = snap_after [ steiner [ 1; 3 ]; steiner [ 0; 2 ] ]);
+  Cache.clear ()
+
+(* A memo snapshot of an older format, stored with a valid checksum, is
+   counted corrupt on resume; every block still resumes and the digest
+   is unchanged. *)
+let test_old_snapshot_format () =
+  let fam = Lazy.force mds_fam in
+  let mode = Shard.Exhaustive in
+  let shards = 4 in
+  with_temp_dir (fun dir ->
+      let first = Sweep.run ~store_dir:dir fam ~mode ~shards in
+      let st = Store.open_ ~dir ~key:(Sweep.store_key fam ~mode ~shards) in
+      let snap = Cache.snapshot () in
+      let tl = String.length "chcache3" in
+      Store.write_snapshot st ~slot:0
+        ("chcache2" ^ String.sub snap tl (String.length snap - tl));
+      let o = Sweep.run ~store_dir:dir fam ~mode ~shards in
+      Alcotest.(check int) "resumed" shards o.Sweep.shards_resumed;
+      Alcotest.(check int) "recomputed" 0 o.Sweep.shards_recomputed;
+      Alcotest.(check int) "corrupt artifacts" 1 o.Sweep.artifacts_corrupt;
+      Alcotest.(check string) "digest"
+        (Sweep.digest first.Sweep.verdicts)
+        (Sweep.digest o.Sweep.verdicts))
+
+(* The MIS/MWIS tables are filled lazily: a snapshot carries the values
+   solved so far, and a prepared instance over a restored table derives
+   its evaluator from the frozen core on its first lazy solve.  Check
+   the full round trip: lazily-solved values survive, restored tables
+   answer queries bit-identically to the from-scratch solvers on the
+   patched graph. *)
 let test_mis_snapshot_roundtrip () =
   Cache.clear ();
   let mk () =
@@ -589,6 +688,10 @@ let () =
           Alcotest.test_case "store corruption" `Quick test_store_corruption;
           Alcotest.test_case "cache snapshot roundtrip" `Quick
             test_cache_snapshot_roundtrip;
+          Alcotest.test_case "snapshot independent of build order" `Quick
+            test_snapshot_build_order;
+          Alcotest.test_case "old-format memo snapshot counted corrupt" `Quick
+            test_old_snapshot_format;
           Alcotest.test_case "mis/mwis snapshot roundtrip" `Quick
             test_mis_snapshot_roundtrip;
           Alcotest.test_case "cooperative should_stop + resume" `Quick
