@@ -13,7 +13,8 @@ type state = {
   announced : bool;
   parent : int;
   children : int list;
-  queue : msg list;
+  queue : msg list;  (* records to relay, front first *)
+  queue_back : msg list;  (* records received since, newest first *)
   pending_children : int;
   done_sent : bool;
   collected : msg list;
@@ -28,6 +29,7 @@ let initial ~root ctx =
     parent = -1;
     children = [];
     queue = [];
+    queue_back = [];
     pending_children = 0;
     done_sent = false;
     collected = [];
@@ -106,9 +108,9 @@ let algo_gen ~records ~answer_of ~root () : (state, msg) Network.algo =
           in
           match st.dist with
           | Some d when not st.announced ->
+              let m = Dist d in
               ( { st with announced = true },
-                Array.to_list
-                  (Array.map (fun u -> (u, Dist d)) ctx.Network.neighbors) )
+                Array.fold_right (fun u acc -> (u, m) :: acc) ctx.Network.neighbors [] )
           | _ -> (st, [])
         end
         else if round = n then begin
@@ -124,22 +126,25 @@ let algo_gen ~records ~answer_of ~root () : (state, msg) Network.algo =
         else begin
           (* phase 3: pipelined upcast, then answer broadcast *)
           let st =
-            List.fold_left
-              (fun st (sender, msg) ->
-                match msg with
-                | Child ->
-                    {
-                      st with
-                      children = sender :: st.children;
-                      pending_children = st.pending_children + 1;
-                    }
-                | Edge _ | Vweight _ ->
-                    if is_root then { st with collected = msg :: st.collected }
-                    else { st with queue = st.queue @ [ msg ] }
-                | Done -> { st with pending_children = st.pending_children - 1 }
-                | Answer a -> { st with answer = Some a }
-                | Dist _ -> st)
-              st inbox
+            match inbox with
+            | [] -> st
+            | _ :: _ ->
+                List.fold_left
+                  (fun st (sender, msg) ->
+                    match msg with
+                    | Child ->
+                        {
+                          st with
+                          children = sender :: st.children;
+                          pending_children = st.pending_children + 1;
+                        }
+                    | Edge _ | Vweight _ ->
+                        if is_root then { st with collected = msg :: st.collected }
+                        else { st with queue_back = msg :: st.queue_back }
+                    | Done -> { st with pending_children = st.pending_children - 1 }
+                    | Answer a -> { st with answer = Some a }
+                    | Dist _ -> st)
+                  st inbox
           in
           if is_root then begin
             match st.answer with
@@ -163,6 +168,12 @@ let algo_gen ~records ~answer_of ~root () : (state, msg) Network.algo =
                   List.map (fun c -> (c, Answer a)) st.children )
             | Some _ -> (st, [])
             | None -> (
+                let st =
+                  match (st.queue, st.queue_back) with
+                  | [], (_ :: _ as back) ->
+                      { st with queue = List.rev back; queue_back = [] }
+                  | _ -> st
+                in
                 match st.queue with
                 | record :: rest -> ({ st with queue = rest }, [ (st.parent, record) ])
                 | [] ->

@@ -17,7 +17,7 @@ type ctx = {
   edge_weight : int -> int;
   vertex_weight : int;
   out_arcs : (int * int) array;
-  rng : Random.State.t;
+  rng : Random.State.t Lazy.t;
 }
 
 type ('state, 'msg) algo = {
@@ -42,17 +42,18 @@ let bandwidth_for ?(factor = 8) n =
   let rec log2_ceil acc v = if v <= 1 then max acc 1 else log2_ceil (acc + 1) ((v + 1) / 2) in
   factor * log2_ceil 0 n
 
-let make_ctxs ?(seed = 0) ?(out_arcs = fun _ -> [||]) g =
-  Array.init (Graph.n g) (fun v ->
-      {
-        id = v;
-        n = Graph.n g;
-        neighbors = Array.of_list (Graph.neighbors g v);
-        edge_weight = (fun u -> Graph.edge_weight g v u);
-        vertex_weight = Graph.vweight g v;
-        out_arcs = out_arcs v;
-        rng = Random.State.make [| seed; v |];
-      })
+(* The RNG is seeded from [(seed, v)] but only built when an algorithm
+   forces it: seeding costs far more than a round of most algorithms. *)
+let make_ctx ~seed ~out_arcs g v =
+  {
+    id = v;
+    n = Graph.n g;
+    neighbors = Array.of_list (Graph.neighbors g v);
+    edge_weight = (fun u -> Graph.edge_weight g v u);
+    vertex_weight = Graph.vweight g v;
+    out_arcs = out_arcs v;
+    rng = lazy (Random.State.make [| seed; v |]);
+  }
 
 (* ---- stepwise execution --------------------------------------------- *)
 
@@ -66,13 +67,24 @@ type 'msg step_log = {
   all_output : bool;
 }
 
+(* Owned vertices are addressed by slot (their rank among the owned
+   vertices), so a round touches only owned vertices and the messages
+   they send.  The two inbox arrays alternate: one is read this round
+   while the other collects the messages delivered for the next. *)
 type ('state, 'msg) stepper = {
   sp_g : Graph.t;
   sp_algo : ('state, 'msg) algo;
-  sp_owns : bool array;
-  sp_ctxs : ctx array;
-  sp_states : 'state option array;  (* Some exactly on owned vertices *)
-  sp_inboxes : (int * 'msg) list array;
+  sp_owned : int array;  (* slot -> vertex, ascending *)
+  sp_slot : int array;  (* vertex -> slot, -1 when unowned *)
+  sp_ctxs : ctx array;  (* by slot *)
+  sp_states : 'state array;  (* by slot *)
+  mutable sp_inbox : (int * 'msg) list array;  (* by slot, read this round *)
+  mutable sp_next : (int * 'msg) list array;  (* by slot, sent this round *)
+  sp_stamp : int array;
+      (* by target: the last sender tick that used the edge, so a second
+         message on one edge in one round is caught without sorting *)
+  mutable sp_tick : int;
+  mutable sp_silent : int;  (* owned vertices whose output is still None *)
   sp_bandwidth : int;
   mutable sp_round : int;
   mutable sp_messages : int;
@@ -80,20 +92,35 @@ type ('state, 'msg) stepper = {
   mutable sp_max_bits : int;
 }
 
-let stepper_gen ?seed ?bandwidth_factor ?owns ~out_arcs g algo =
+let count_silent algo states =
+  Array.fold_left
+    (fun acc st -> match algo.output st with None -> acc + 1 | Some _ -> acc)
+    0 states
+
+let stepper_gen ?(seed = 0) ?bandwidth_factor ?owns ~out_arcs g algo =
   let n = Graph.n g in
-  let owns =
-    match owns with Some f -> Array.init n f | None -> Array.make n true
+  let owned =
+    match owns with
+    | None -> Array.init n Fun.id
+    | Some f -> Array.of_list (List.filter f (List.init n Fun.id))
   in
-  let ctxs = make_ctxs ?seed ~out_arcs g in
+  let slot = Array.make n (-1) in
+  Array.iteri (fun s v -> slot.(v) <- s) owned;
+  let ctxs = Array.map (make_ctx ~seed ~out_arcs g) owned in
+  let states = Array.map algo.init ctxs in
+  let k = Array.length owned in
   {
     sp_g = g;
     sp_algo = algo;
-    sp_owns = owns;
+    sp_owned = owned;
+    sp_slot = slot;
     sp_ctxs = ctxs;
-    sp_states =
-      Array.init n (fun v -> if owns.(v) then Some (algo.init ctxs.(v)) else None);
-    sp_inboxes = Array.make n [];
+    sp_states = states;
+    sp_inbox = Array.make k [];
+    sp_next = Array.make k [];
+    sp_stamp = Array.make n (-1);
+    sp_tick = 0;
+    sp_silent = count_silent algo states;
     sp_bandwidth = bandwidth_for ?factor:bandwidth_factor n;
     sp_round = 0;
     sp_messages = 0;
@@ -119,21 +146,16 @@ let stepper_round t = t.sp_round
 
 let stepper_bandwidth t = t.sp_bandwidth
 
-let stepper_owns t v = t.sp_owns.(v)
+let stepper_owns t v = t.sp_slot.(v) >= 0
 
 let owned_state t v =
-  match t.sp_states.(v) with
-  | Some st -> st
-  | None -> invalid_arg "Network.stepper: vertex not owned"
+  let s = t.sp_slot.(v) in
+  if s < 0 then invalid_arg "Network.stepper: vertex not owned";
+  t.sp_states.(s)
 
 let stepper_output t v = t.sp_algo.output (owned_state t v)
 
-let stepper_all_output t =
-  let ok = ref true in
-  Array.iteri
-    (fun v owned -> if owned && t.sp_algo.output (owned_state t v) = None then ok := false)
-    t.sp_owns;
-  !ok
+let stepper_all_output t = t.sp_silent = 0
 
 let stepper_stats t =
   {
@@ -144,84 +166,112 @@ let stepper_stats t =
     bandwidth = t.sp_bandwidth;
   }
 
+(* The outbox checks, applied at the sender in this order to the whole
+   outbox: every target adjacent, then no target twice. *)
+let rec check_adjacent algo g v = function
+  | [] -> ()
+  | (target, _) :: rest ->
+      if not (Graph.mem_edge g v target) then
+        failwith
+          (Printf.sprintf "Network.run: %S sent %d -> %d but they are not adjacent"
+             algo.name v target);
+      check_adjacent algo g v rest
+
+let rec check_one_per_edge algo stamp tick = function
+  | [] -> ()
+  | (target, _) :: rest ->
+      if stamp.(target) = tick then
+        failwith
+          (Printf.sprintf "Network.run: %S sent two messages on one edge" algo.name);
+      stamp.(target) <- tick;
+      check_one_per_edge algo stamp tick rest
+
+(* Charge and route one validated outbox: owned targets get the message
+   in next round's inbox, unowned ones are handed to the driver.  An
+   over-bandwidth message is not sent; [over] keeps the first one's
+   width and {!step} raises it only after every outbox of the round has
+   passed the checks above, so a round's adjacency and one-per-edge
+   violations always win over its bandwidth violations. *)
+let rec send t internal outbound over v = function
+  | [] -> ()
+  | (target, msg) :: rest ->
+      let bits = t.sp_algo.msg_bits msg in
+      if bits > t.sp_bandwidth then (if !over = 0 then over := bits)
+      else begin
+        t.sp_messages <- t.sp_messages + 1;
+        t.sp_total_bits <- t.sp_total_bits + bits;
+        if bits > t.sp_max_bits then t.sp_max_bits <- bits;
+        let tr = { t_sender = v; t_target = target; t_bits = bits; t_msg = msg } in
+        let s = t.sp_slot.(target) in
+        if s >= 0 then begin
+          t.sp_next.(s) <- (v, msg) :: t.sp_next.(s);
+          internal := tr :: !internal
+        end
+        else outbound := tr :: !outbound
+      end;
+      send t internal outbound over v rest
+
+let by_sender (a, _) (b, _) = Int.compare a b
+
 let step ?(inject = []) t =
-  let algo = t.sp_algo and g = t.sp_g in
-  let n = Graph.n g in
+  let algo = t.sp_algo in
+  let n = Graph.n t.sp_g in
   List.iter
     (fun tr ->
-      if tr.t_target < 0 || tr.t_target >= n || not t.sp_owns.(tr.t_target) then
+      let v = tr.t_target in
+      let s = if v < 0 || v >= n then -1 else t.sp_slot.(v) in
+      if s < 0 then
         invalid_arg "Network.step: injected message targets an unowned vertex";
-      t.sp_inboxes.(tr.t_target) <- (tr.t_sender, tr.t_msg) :: t.sp_inboxes.(tr.t_target))
+      t.sp_inbox.(s) <- (tr.t_sender, tr.t_msg) :: t.sp_inbox.(s))
     inject;
   let round = t.sp_round in
   let messages0 = t.sp_messages and bits0 = t.sp_total_bits in
-  let outboxes = Array.make n [] in
-  for v = 0 to n - 1 do
-    if t.sp_owns.(v) then begin
-      (* ascending sender order: at most one message per (directed) edge
-         per round, so this reproduces the full run's delivery order even
-         when injected cross messages interleave with internal ones *)
-      let inbox = List.sort (fun (a, _) (b, _) -> compare a b) t.sp_inboxes.(v) in
-      t.sp_inboxes.(v) <- [];
-      let state', outbox = algo.round t.sp_ctxs.(v) ~round (owned_state t v) inbox in
-      t.sp_states.(v) <- Some state';
-      List.iter
-        (fun (target, _) ->
-          if not (Graph.mem_edge g v target) then
-            failwith
-              (Printf.sprintf
-                 "Network.run: %S sent %d -> %d but they are not adjacent"
-                 algo.name v target))
-        outbox;
-      let targets = List.map fst outbox in
-      if List.length (List.sort_uniq compare targets) <> List.length targets then
-        failwith
-          (Printf.sprintf "Network.run: %S sent two messages on one edge" algo.name);
-      outboxes.(v) <- outbox
-    end
+  let inbox = t.sp_inbox in
+  let internal = ref [] and outbound = ref [] and over = ref 0 in
+  let silent = ref 0 in
+  for s = 0 to Array.length t.sp_owned - 1 do
+    let v = t.sp_owned.(s) in
+    (* ascending sender order: at most one message per (directed) edge
+       per round, so this reproduces the full run's delivery order even
+       when injected cross messages interleave with internal ones *)
+    let msgs =
+      match inbox.(s) with ([] | [ _ ]) as m -> m | m -> List.sort by_sender m
+    in
+    inbox.(s) <- [];
+    let state', outbox = algo.round t.sp_ctxs.(s) ~round t.sp_states.(s) msgs in
+    t.sp_states.(s) <- state';
+    (match algo.output state' with None -> incr silent | Some _ -> ());
+    check_adjacent algo t.sp_g v outbox;
+    t.sp_tick <- t.sp_tick + 1;
+    check_one_per_edge algo t.sp_stamp t.sp_tick outbox;
+    send t internal outbound over v outbox
   done;
-  let internal = ref [] and outbound = ref [] in
-  Array.iteri
-    (fun sender outbox ->
-      List.iter
-        (fun (target, msg) ->
-          let bits = algo.msg_bits msg in
-          if bits > t.sp_bandwidth then
-            raise
-              (Bandwidth_exceeded
-                 { algo = algo.name; bits; bandwidth = t.sp_bandwidth });
-          t.sp_messages <- t.sp_messages + 1;
-          t.sp_total_bits <- t.sp_total_bits + bits;
-          t.sp_max_bits <- max t.sp_max_bits bits;
-          let tr = { t_sender = sender; t_target = target; t_bits = bits; t_msg = msg } in
-          if t.sp_owns.(target) then begin
-            t.sp_inboxes.(target) <- (sender, msg) :: t.sp_inboxes.(target);
-            internal := tr :: !internal
-          end
-          else outbound := tr :: !outbound)
-        outbox)
-    outboxes;
+  if !over > 0 then
+    raise
+      (Bandwidth_exceeded
+         { algo = algo.name; bits = !over; bandwidth = t.sp_bandwidth });
+  t.sp_inbox <- t.sp_next;
+  t.sp_next <- inbox;
+  t.sp_silent <- !silent;
   t.sp_round <- round + 1;
   Obs.bump c_rounds;
   Obs.incr c_messages (t.sp_messages - messages0);
   Obs.incr c_bits (t.sp_total_bits - bits0);
   Obs.observe h_round_messages (t.sp_messages - messages0);
   Obs.observe h_round_bits (t.sp_total_bits - bits0);
-  let internal = List.rev !internal and outbound = List.rev !outbound in
   {
     log_round = round;
-    internal;
-    outbound;
-    sent = internal <> [] || outbound <> [];
-    all_output = stepper_all_output t;
+    internal = List.rev !internal;
+    outbound = List.rev !outbound;
+    sent = t.sp_messages > messages0;
+    all_output = !silent = 0;
   }
 
 let default_max_rounds g = (20 * Graph.n g) + (10 * Graph.m g) + 100
 
 (* ---- whole-network runs, rebuilt on the stepper ---------------------- *)
 
-let run_internal ?max_rounds ~on_message t =
-  let algo = t.sp_algo in
+let run_internal ?max_rounds t =
   let max_rounds =
     match max_rounds with Some r -> r | None -> default_max_rounds t.sp_g
   in
@@ -230,24 +280,16 @@ let run_internal ?max_rounds ~on_message t =
     if t.sp_round > max_rounds then
       failwith
         (Printf.sprintf "Network.run: algorithm %S did not terminate in %d rounds"
-           algo.name max_rounds);
-    let log = step t in
-    List.iter
-      (fun tr -> on_message ~sender:tr.t_sender ~target:tr.t_target ~bits:tr.t_bits)
-      log.internal;
-    quiescent := not log.sent
+           t.sp_algo.name max_rounds);
+    quiescent := not (step t).sent
   done;
-  (Array.map (fun s -> Option.get s) t.sp_states, stepper_stats t)
+  (Array.init (Graph.n t.sp_g) (owned_state t), stepper_stats t)
 
 let run ?seed ?bandwidth_factor ?max_rounds g algo =
-  run_internal ?max_rounds
-    ~on_message:(fun ~sender:_ ~target:_ ~bits:_ -> ())
-    (stepper ?seed ?bandwidth_factor g algo)
+  run_internal ?max_rounds (stepper ?seed ?bandwidth_factor g algo)
 
 let run_directed ?seed ?bandwidth_factor ?max_rounds dg algo =
-  run_internal ?max_rounds
-    ~on_message:(fun ~sender:_ ~target:_ ~bits:_ -> ())
-    (stepper_directed ?seed ?bandwidth_factor dg algo)
+  run_internal ?max_rounds (stepper_directed ?seed ?bandwidth_factor dg algo)
 
 (* ---- partitioned runs: one partial stepper per part ------------------ *)
 
@@ -324,9 +366,7 @@ let run_partitioned_steppers ?max_rounds ~partition steppers =
     quiescent := not !sent
   done;
   let n = Graph.n g in
-  let states =
-    Array.init n (fun v -> Option.get steppers.(partition.(v)).sp_states.(v))
-  in
+  let states = Array.init n (fun v -> owned_state steppers.(partition.(v)) v) in
   let merged =
     Array.fold_left
       (fun acc sp ->

@@ -19,7 +19,10 @@ type ctx = {
           out-arcs as sorted [(head, weight)] pairs — the orientation is
           local data while messages flow both ways over each arc's
           channel.  Empty on undirected networks. *)
-  rng : Random.State.t;  (** private per-vertex randomness *)
+  rng : Random.State.t Lazy.t;
+      (** private per-vertex randomness, seeded from [(seed, v)] when an
+          algorithm first forces it — deterministic algorithms never pay
+          for seeding *)
 }
 
 type ('state, 'msg) algo = {
@@ -59,7 +62,15 @@ val bandwidth_for : ?factor:int -> int -> int
     this exact per-round semantics (per-vertex RNG seeded from
     [(seed, v)], inboxes delivered in ascending sender order, outbox
     validation and bandwidth checks at the sender, rounds counted per
-    synchronous step). *)
+    synchronous step).
+
+    Cost model: a stepper is built in O(n + Σ owned degrees) and then
+    addresses only its owned vertices.  A {!step} costs O(owned vertices
+    + messages sent + messages delivered), plus the algorithm's own
+    [round] calls; the one-message-per-edge check is a per-stepper stamp
+    array, inboxes of at most one message are not sorted, the delivery
+    arrays are reused across rounds, and {!stepper_all_output} reads a
+    count the step keeps. *)
 
 type 'msg transfer = {
   t_sender : int;
@@ -126,6 +137,7 @@ val stepper_output : ('state, 'msg) stepper -> int -> int option
 (** Output of an owned vertex.  @raise Invalid_argument when unowned. *)
 
 val stepper_all_output : ('state, 'msg) stepper -> bool
+(** Every owned vertex has an output; O(1), tallied by {!step}. *)
 
 val stepper_stats : ('state, 'msg) stepper -> stats
 (** Counters over messages {e sent} by owned vertices (internal and

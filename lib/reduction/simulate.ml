@@ -41,8 +41,11 @@ let directed_of name fam x y =
    communication graph, used for connectivity and the divergence guard.
    Parts are stepped in index order every round — at t=2 with
    [partition_of_side] this is exactly the historical Alice-then-Bob
-   schedule, so the old two-party transcripts replay bit-identically. *)
-let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
+   schedule, so the old two-party transcripts replay bit-identically.
+   [mc] is the family's multicut for [partition]; a spec computes it
+   once, one-shot callers leave it to be computed here.  Trace events
+   are only built when a sink is attached. *)
+let lockstep_core ?mc ?max_rounds ?trace ~name fam ~partition
     ~(algo : ('state, 'msg) Network.algo) ~(codecs : 'msg Codec.family)
     ~accept ~g ~mk_stepper x y =
   (* the CONGEST model assumes a connected network; degenerate input pairs
@@ -55,7 +58,11 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
   (* rejects empty parts and negative ids — a party with no vertices
      cannot take part in the simulation *)
   let t = Network.partition_parts partition in
-  let mc = Framework.multicut_info fam ~partition in
+  let mc =
+    match mc with
+    | Some mc -> mc
+    | None -> Framework.multicut_info fam ~partition
+  in
   let cut_size = Array.length mc.Framework.mc_edges in
   (* Party p owns partition⁻¹(p).  By Definition 1.1 (and its multiparty
      analogue) a party's induced subgraph depends only on its own share
@@ -75,20 +82,22 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
   let pair_round = Array.make_matrix t t 0 in
   let note_internal round (tr : 'msg Network.transfer) =
     internal_bits := !internal_bits + tr.Network.t_bits;
-    let p = partition.(tr.Network.t_sender) in
-    trace
-      (Trace.Msg
-         {
-           round;
-           sender = tr.Network.t_sender;
-           target = tr.Network.t_target;
-           sender_part = p;
-           target_part = partition.(tr.Network.t_target);
-           bits = tr.Network.t_bits;
-           cut = false;
-           edge = None;
-           cum_cut_bits = !charged;
-         })
+    match trace with
+    | None -> ()
+    | Some trace ->
+        trace
+          (Trace.Msg
+             {
+               round;
+               sender = tr.Network.t_sender;
+               target = tr.Network.t_target;
+               sender_part = partition.(tr.Network.t_sender);
+               target_part = partition.(tr.Network.t_target);
+               bits = tr.Network.t_bits;
+               cut = false;
+               edge = None;
+               cum_cut_bits = !charged;
+             })
   in
   (* A multicut crossing: the sender's party encodes the message and the
      payload goes through its part pair's channel, which charges exactly
@@ -112,23 +121,47 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
     ignore (Protocol.send_bits (chan sp tp) (Bits.of_list payload));
     charged := !charged + tr.Network.t_bits;
     incr cut_messages;
-    pair_round.(sp).(tp) <- pair_round.(sp).(tp) + tr.Network.t_bits;
+    match trace with
+    | None -> ()
+    | Some trace ->
+        pair_round.(sp).(tp) <- pair_round.(sp).(tp) + tr.Network.t_bits;
+        trace
+          (Trace.Msg
+             {
+               round;
+               sender = tr.Network.t_sender;
+               target = tr.Network.t_target;
+               sender_part = sp;
+               target_part = tp;
+               bits = tr.Network.t_bits;
+               cut = true;
+               edge =
+                 Framework.multicut_index mc tr.Network.t_sender
+                   tr.Network.t_target;
+               cum_cut_bits = !charged;
+             })
+  in
+  (* the Round event: this round's totals and its per-part-pair lines *)
+  let note_round trace ~round ~before ~before_msgs ~internal_before =
+    let pair_bits = ref [] in
+    for p = t - 1 downto 0 do
+      for q = t - 1 downto 0 do
+        if pair_round.(p).(q) > 0 then
+          pair_bits := ((p, q), pair_round.(p).(q)) :: !pair_bits;
+        pair_round.(p).(q) <- 0
+      done
+    done;
     trace
-      (Trace.Msg
+      (Trace.Round
          {
            round;
-           sender = tr.Network.t_sender;
-           target = tr.Network.t_target;
-           sender_part = sp;
-           target_part = tp;
-           bits = tr.Network.t_bits;
-           cut = true;
-           edge =
-             Framework.multicut_index mc tr.Network.t_sender
-               tr.Network.t_target;
+           cut_bits = !charged - before;
+           cut_messages = !cut_messages - before_msgs;
+           internal_bits = !internal_bits - internal_before;
            cum_cut_bits = !charged;
-         });
-    tr
+           budget = (round + 1) * cut_size * bandwidth;
+           pair_bits = !pair_bits;
+         })
   in
   let inject = Array.make t [] in
   let quiescent = ref false in
@@ -159,36 +192,18 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
     (* cross traffic in part order (sender part 0 first), re-injected into
        the target part's next step — in-flight exactly like the inboxes
        of the unsplit run, which deliver in ascending sender order *)
-    let next = Array.make t [] in
     Array.iter
       (fun l ->
         List.iter
           (fun tr ->
-            let tr = cross round tr in
+            cross round tr;
             let q = partition.(tr.Network.t_target) in
-            next.(q) <- tr :: next.(q))
+            inject.(q) <- tr :: inject.(q))
           l.Network.outbound)
       logs;
-    Array.iteri (fun q acc -> inject.(q) <- List.rev acc) next;
-    let pair_bits = ref [] in
-    for p = t - 1 downto 0 do
-      for q = t - 1 downto 0 do
-        if pair_round.(p).(q) > 0 then
-          pair_bits := ((p, q), pair_round.(p).(q)) :: !pair_bits;
-        pair_round.(p).(q) <- 0
-      done
-    done;
-    trace
-      (Trace.Round
-         {
-           round;
-           cut_bits = !charged - before;
-           cut_messages = !cut_messages - before_msgs;
-           internal_bits = !internal_bits - internal_before;
-           cum_cut_bits = !charged;
-           budget = (round + 1) * cut_size * bandwidth;
-           pair_bits = !pair_bits;
-         });
+    (match trace with
+    | Some trace -> note_round trace ~round ~before ~before_msgs ~internal_before
+    | None -> ());
     quiescent := not (Array.exists (fun l -> l.Network.sent) logs)
   done;
   let rounds = Network.stepper_round steppers.(0) in
@@ -217,15 +232,20 @@ let lockstep_core ?max_rounds ?(trace = Trace.null) ~name fam ~partition
     within_budget = cut_bits <= budget;
   }
 
-let lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
+let lockstep_undirected_mc ?mc ?seed ?bandwidth_factor ?max_rounds ?trace fam
     ~partition ~(algo : ('state, 'msg) Network.algo)
     ~(codecs : 'msg Codec.family) ~accept x y =
   let name = "Simulate.lockstep_partitioned" in
   let g = undirected_of name fam x y in
-  lockstep_core ?max_rounds ?trace ~name fam ~partition ~algo ~codecs ~accept
-    ~g
+  lockstep_core ?mc ?max_rounds ?trace ~name fam ~partition ~algo ~codecs
+    ~accept ~g
     ~mk_stepper:(fun owns -> Network.stepper ?seed ?bandwidth_factor ~owns g algo)
     x y
+
+let lockstep_partitioned ?seed ?bandwidth_factor ?max_rounds ?trace fam
+    ~partition ~algo ~codecs ~accept x y =
+  lockstep_undirected_mc ?seed ?bandwidth_factor ?max_rounds ?trace fam
+    ~partition ~algo ~codecs ~accept x y
 
 let lockstep ?seed ?bandwidth_factor ?max_rounds ?trace fam
     ~(algo : ('state, 'msg) Network.algo) ~(codec : 'msg Codec.t) ~accept x y =
@@ -233,17 +253,22 @@ let lockstep ?seed ?bandwidth_factor ?max_rounds ?trace fam
     ~partition:(Network.partition_of_side fam.Framework.side)
     ~algo ~codecs:(Codec.uniform codec) ~accept x y
 
-let lockstep_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam
+let lockstep_directed_mc ?mc ?seed ?bandwidth_factor ?max_rounds ?trace fam
     ~(algo : ('state, 'msg) Network.algo) ~(codec : 'msg Codec.t) ~accept x y =
   let name = "Simulate.lockstep_directed" in
   let dg = directed_of name fam x y in
   let g = Network.comm_graph dg in
-  lockstep_core ?max_rounds ?trace ~name fam
+  lockstep_core ?mc ?max_rounds ?trace ~name fam
     ~partition:(Network.partition_of_side fam.Framework.side)
     ~algo ~codecs:(Codec.uniform codec) ~accept ~g
     ~mk_stepper:(fun owns ->
       Network.stepper_directed ?seed ?bandwidth_factor ~owns dg algo)
     x y
+
+let lockstep_directed ?seed ?bandwidth_factor ?max_rounds ?trace fam ~algo
+    ~codec ~accept x y =
+  lockstep_directed_mc ?seed ?bandwidth_factor ?max_rounds ?trace fam ~algo
+    ~codec ~accept x y
 
 (* ---- monomorphic packaging ------------------------------------------ *)
 
@@ -273,8 +298,13 @@ let make_spec ~name ?(cc = `Disj) ?(parties = 2) fam ~run ~reference =
     sref = reference;
   }
 
+(* The gather specs fix the partition, so the family's multicut is
+   computed once here rather than once per pair. *)
 let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
   let algo = Gather.algo ~root:0 ~f:solver () in
+  let partition = Network.partition_of_side fam.Framework.side in
+  let mc = Framework.multicut_info fam ~partition in
+  let codecs = Codec.uniform Codec.gather in
   {
     sname = name;
     sfam = fam;
@@ -282,8 +312,8 @@ let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
     sparties = 2;
     srun =
       (fun ?trace x y ->
-        lockstep ?seed ?bandwidth_factor ?trace fam ~algo ~codec:Codec.gather
-          ~accept x y);
+        lockstep_undirected_mc ~mc ?seed ?bandwidth_factor ?trace fam
+          ~partition ~algo ~codecs ~accept x y);
     sref =
       (fun x y ->
         let g = undirected_of "Simulate.gather_spec" fam x y in
@@ -301,6 +331,10 @@ let gather_spec ?seed ?bandwidth_factor ~name fam ~solver ~accept =
 
 let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
   let algo = Gather.directed_algo ~root:0 ~f:solver () in
+  let mc =
+    Framework.multicut_info fam
+      ~partition:(Network.partition_of_side fam.Framework.side)
+  in
   {
     sname = name;
     sfam = fam;
@@ -308,7 +342,7 @@ let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
     sparties = 2;
     srun =
       (fun ?trace x y ->
-        lockstep_directed ?seed ?bandwidth_factor ?trace fam ~algo
+        lockstep_directed_mc ~mc ?seed ?bandwidth_factor ?trace fam ~algo
           ~codec:Codec.gather ~accept x y);
     sref =
       (fun x y ->
@@ -328,17 +362,18 @@ let gather_spec_directed ?seed ?bandwidth_factor ~name fam ~solver ~accept =
 let gather_spec_partitioned ?seed ?bandwidth_factor ~name fam ~partition
     ~solver ~accept =
   let algo = Gather.algo ~root:0 ~f:solver () in
+  let parties = Network.partition_parts partition in
+  let mc = Framework.multicut_info fam ~partition in
+  let codecs = Codec.uniform Codec.gather in
   {
     sname = name;
     sfam = fam;
     scc = `Disj;
-    sparties = Network.partition_parts partition;
+    sparties = parties;
     srun =
       (fun ?trace x y ->
-        lockstep_partitioned ?seed ?bandwidth_factor ?trace fam ~partition
-          ~algo
-          ~codecs:(Codec.uniform Codec.gather)
-          ~accept x y);
+        lockstep_undirected_mc ~mc ?seed ?bandwidth_factor ?trace fam
+          ~partition ~algo ~codecs ~accept x y);
     sref =
       (fun x y ->
         let g = undirected_of "Simulate.gather_spec_partitioned" fam x y in

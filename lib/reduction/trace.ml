@@ -22,8 +22,6 @@ type event =
 
 type sink = event -> unit
 
-let null _ = ()
-
 let collector () =
   let acc = ref [] in
   ((fun e -> acc := e :: !acc), fun () -> List.rev !acc)

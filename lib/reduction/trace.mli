@@ -36,8 +36,8 @@ type event =
     }
 
 type sink = event -> unit
-
-val null : sink
+(** Omit the sink (every [?trace] is optional) to record nothing: the
+    simulation then builds no events at all. *)
 
 val collector : unit -> sink * (unit -> event list)
 (** A sink accumulating events, and a function returning them in order. *)

@@ -2,8 +2,8 @@
 # Round-level trace replay regression: record the per-message/per-round
 # JSONL trace of a reduction sweep, replay it (`hardness replay`
 # regenerates the sweep and differences the event streams), and require
-# (a) a clean bit-identical replay on the 2-party mds sweep and the
-# 4-party bitgadget sweep, and (b) a nonzero exit naming the first
+# (a) a clean bit-identical replay on the 2-party mds sweep, the
+# directed 2-party hampath sweep and the 4-party bitgadget sweep, and (b) a nonzero exit naming the first
 # divergent event when the recorded trace is corrupted.
 #
 # Usage: scripts/check_trace_replay.sh HARDNESS_EXE
@@ -38,6 +38,20 @@ grep -q 'trace replay ok' "$work/replay.log" || {
   exit 1
 }
 
+# directed 2-party: sampled hampath k=2 (the directed lockstep path).
+"$exe" reduction hampath --pairs 4 --trace "$work/hp.jsonl" \
+  > "$work/hp.log" 2>&1
+"$exe" replay hampath "$work/hp.jsonl" --pairs 4 > "$work/hp_replay.log" 2>&1 || {
+  echo "FAIL: hampath replay diverged" >&2
+  cat "$work/hp_replay.log" >&2
+  exit 1
+}
+grep -q 'trace replay ok' "$work/hp_replay.log" || {
+  echo "FAIL: no hampath replay-ok line" >&2
+  cat "$work/hp_replay.log" >&2
+  exit 1
+}
+
 # t=4 multiparty: sampled bitgadget k=4 (same seed on both sides).
 "$exe" reduction bitgadget -k 4 --pairs 2 --seed 7 \
   --trace "$work/bg.jsonl" > "$work/bg.log" 2>&1
@@ -63,4 +77,4 @@ grep -q 'traces diverge at event' "$work/bad.log" || {
   exit 1
 }
 
-echo "trace replay ok: mds k=2 exhaustive, bitgadget k=4 (t=4), corruption detected"
+echo "trace replay ok: mds k=2 exhaustive, hampath k=2 (directed), bitgadget k=4 (t=4), corruption detected"

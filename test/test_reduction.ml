@@ -370,6 +370,256 @@ let test_bitgadget_t4_differential () =
       assert_report "bitgadget" report;
       check_int "report says t=4" 4 report.Bound.rep_parties
 
+(* ---- golden transcripts ---------------------------------------------- *)
+
+(* Fixed sampled pairs of three registry reductions, each pinned by the
+   MD5 of its collected trace rendered with [Trace.to_json] (one line per
+   event) and by every pair's transcript fields (rounds, cut_bits,
+   cut_messages, internal_bits, answer).  The expected values were
+   recorded from the round engine as it stood before its allocation-lean
+   rewrite, so a change to the delivery schedule, the charging or the
+   events fails here even when the lockstep run still agrees with its
+   own run_split oracle. *)
+let golden_case ~id ~k =
+  match
+    Simulate.registry_spec
+      (Ch_core.Registry.find_exn (Families.catalog ()) id)
+      ~k
+  with
+  | None -> Alcotest.fail (id ^ ": no reduction")
+  | Some spec ->
+      let fam = spec.Simulate.sfam in
+      let pairs, _ =
+        Bound.connected_pairs fam (Bound.sampled_pairs fam ~seed:5 ~samples:2)
+      in
+      let sink, events = Trace.collector () in
+      let fields =
+        List.map
+          (fun (x, y) ->
+            let t = spec.Simulate.srun ~trace:sink x y in
+            Simulate.
+              (t.rounds, t.cut_bits, t.cut_messages, t.internal_bits, t.answer))
+          pairs
+      in
+      let stream = String.concat "\n" (List.map Trace.to_json (events ())) in
+      (spec.Simulate.sparties, Digest.to_hex (Digest.string stream), fields)
+
+let check_golden ~id ~k ~parties ~digest ~fields () =
+  let t, d, f = golden_case ~id ~k in
+  check_int (id ^ ": parties") parties t;
+  let rows = List.map (fun (r, cb, cm, ib, a) -> [ r; cb; cm; ib; a ]) in
+  Alcotest.(check (list (list int)))
+    (id ^ ": rounds, cut_bits, cut_messages, internal_bits, answer per pair")
+    (rows fields) (rows f);
+  Alcotest.(check string) (id ^ ": trace digest") digest d
+
+let test_golden_mds =
+  check_golden ~id:"mds" ~k:2 ~parties:2
+    ~digest:"4513732e8d0c8e17ae30e917b68b5f12"
+    ~fields:
+      [
+        (53, 315, 42, 1548, 6);
+        (45, 275, 38, 1360, 7);
+        (75, 543, 64, 2121, 7);
+        (54, 305, 41, 1463, 6);
+        (53, 316, 42, 1637, 6);
+      ]
+
+let test_golden_hampath =
+  check_golden ~id:"hampath" ~k:2 ~parties:2
+    ~digest:"7cc748ba7f1e613ef3708420b65d22be"
+    ~fields:
+      [
+        (178, 2768, 262, 6080, 0);
+        (184, 1176, 125, 7548, 1);
+        (182, 1168, 133, 7508, 0);
+        (180, 1938, 190, 6874, 0);
+        (181, 1164, 124, 7406, 1);
+        (182, 1458, 148, 7302, 1);
+      ]
+
+let test_golden_bitgadget =
+  check_golden ~id:"bitgadget" ~k:8 ~parties:4
+    ~digest:"07fcf4954ff8ad3bbf99cc62eb7b91a3"
+    ~fields:
+      [
+        (98, 3841, 411, 1615, 8);
+        (97, 3680, 405, 1392, 8);
+        (101, 3712, 407, 1401, 8);
+      ]
+
+(* the one algorithm that draws on the per-vertex rng: its sample, and so
+   every figure below, depends on the [(seed, v)] seeding *)
+let test_golden_maxcut_sample () =
+  let g = Gen.gnp ~seed:23 20 0.7 in
+  let r = Maxcut_sample.run ~seed:3 g in
+  let s = r.Maxcut_sample.stats in
+  Alcotest.(check (list int))
+    "estimate, sample optimum, sampled edges, rounds, messages, bits"
+    [ 98; 65; 98; 53; 457; 3012; 14 ]
+    [
+      r.Maxcut_sample.estimate;
+      r.Maxcut_sample.sample_optimum;
+      r.Maxcut_sample.sampled_edges;
+      s.Network.rounds;
+      s.Network.messages;
+      s.Network.total_bits;
+      s.Network.max_message_bits;
+    ]
+
+(* ---- CONGEST-model guards --------------------------------------------- *)
+
+(* A connected MDS k=2 instance and probe algorithms on it: in round 0
+   every vertex sends [send ctx]; every vertex outputs after its first
+   round unless [halts] is false. *)
+let guard_fam = Mds_lb.family ~k:2
+let guard_x = Bits.random ~seed:7 4
+let guard_y = Bits.random ~seed:8 4
+
+let guard_graph () =
+  match guard_fam.Ch_core.Framework.build guard_x guard_y with
+  | Ch_core.Framework.Undirected g when Props.connected g -> g
+  | _ -> Alcotest.fail "connected undirected instance expected"
+
+let probe ?(bits = fun _ -> 1) ?(halts = true) name send :
+    (bool, int) Network.algo =
+  {
+    Network.name;
+    init = (fun _ -> false);
+    round =
+      (fun ctx ~round _ _ ->
+        (true, if round = 0 then send ctx else []));
+    msg_bits = bits;
+    output = (fun ran -> if halts && ran then Some 0 else None);
+  }
+
+let one_bit = { Codec.cname = "one-bit"; enc = (fun _ -> [ true ]) }
+
+(* vertex 0 alone against the rest, and the family's own Alice/Bob side:
+   the first puts every target of vertex 0 in another part, the second
+   keeps some in its own *)
+let guard_partitions g =
+  [
+    Array.init (Graph.n g) (fun v -> if v = 0 then 0 else 1);
+    Network.partition_of_side guard_fam.Ch_core.Framework.side;
+  ]
+
+let raises_everywhere ?max_rounds ?lockstep_exn ?partitions ~exn algo =
+  let g = guard_graph () in
+  let partitions = Option.value partitions ~default:(guard_partitions g) in
+  Alcotest.check_raises "Network.run" exn (fun () ->
+      ignore (Network.run ?max_rounds g algo));
+  List.iter
+    (fun partition ->
+      Alcotest.check_raises "Simulate.lockstep_partitioned"
+        (Option.value lockstep_exn ~default:exn)
+        (fun () ->
+          ignore
+            (Simulate.lockstep_partitioned ?max_rounds guard_fam ~partition ~algo
+               ~codecs:(Codec.uniform one_bit) ~accept:(fun _ -> true)
+               guard_x guard_y)))
+    partitions
+
+let first_neighbor ctx = ctx.Network.neighbors.(0)
+
+(* only vertex 0 sends *)
+let from0 f ctx = if ctx.Network.id = 0 then f ctx else []
+
+let non_neighbor g v =
+  List.find
+    (fun w -> w <> v && not (Graph.mem_edge g v w))
+    (List.init (Graph.n g) Fun.id)
+
+let test_guard_non_neighbor () =
+  let w = non_neighbor (guard_graph ()) 0 in
+  raises_everywhere
+    ~exn:
+      (Failure
+         (Printf.sprintf
+            "Network.run: \"far\" sent 0 -> %d but they are not adjacent" w))
+    (probe "far" (from0 (fun _ -> [ (w, 1) ])))
+
+let test_guard_one_per_edge () =
+  raises_everywhere
+    ~exn:(Failure "Network.run: \"dup\" sent two messages on one edge")
+    (probe "dup"
+       (from0 (fun ctx -> [ (first_neighbor ctx, 1); (first_neighbor ctx, 2) ])))
+
+let test_guard_bandwidth () =
+  let bw = Network.bandwidth_for (Graph.n (guard_graph ())) in
+  raises_everywhere
+    ~exn:
+      (Network.Bandwidth_exceeded
+         { algo = "wide"; bits = bw + 1; bandwidth = bw })
+    (probe ~bits:(fun _ -> bw + 1) "wide"
+       (from0 (fun ctx -> [ (first_neighbor ctx, 1) ])))
+
+(* the outbox checks of a whole round fire before its bandwidth check:
+   vertex 0's over-wide message loses to the last vertex's send to a
+   non-neighbour when one stepper runs both (across parts, the parts'
+   step order decides) *)
+let test_guard_check_order () =
+  let g = guard_graph () in
+  let n = Graph.n g in
+  let z = n - 1 in
+  let w = non_neighbor g z in
+  let bw = Network.bandwidth_for n in
+  raises_everywhere
+    ~partitions:[ Array.init n (fun v -> if v = 0 || v = z then 0 else 1) ]
+    ~exn:
+      (Failure
+         (Printf.sprintf
+            "Network.run: \"mixed\" sent %d -> %d but they are not adjacent" z w))
+    (probe
+       ~bits:(fun m -> if m = 2 then bw + 1 else 1)
+       "mixed"
+       (fun ctx ->
+         if ctx.Network.id = 0 then [ (first_neighbor ctx, 2) ]
+         else if ctx.Network.id = z then [ (w, 1) ]
+         else []))
+
+let test_guard_round_limit () =
+  raises_everywhere ~max_rounds:5
+    ~exn:(Failure "Network.run: algorithm \"spin\" did not terminate in 5 rounds")
+    ~lockstep_exn:
+      (Failure
+         "Simulate.lockstep_partitioned: \"spin\" did not terminate in 5 rounds")
+    (probe ~halts:false "spin" (fun _ -> []))
+
+(* a partial stepper only accepts cross messages for vertices it owns *)
+let test_guard_unowned_inject () =
+  let g = guard_graph () in
+  let n = Graph.n g in
+  let algo = probe "idle" (fun _ -> []) in
+  List.iter
+    (fun target ->
+      let sp = Network.stepper ~owns:(fun v -> v <> 3) g algo in
+      Alcotest.check_raises
+        (Printf.sprintf "inject to %d" target)
+        (Invalid_argument
+           "Network.step: injected message targets an unowned vertex")
+        (fun () ->
+          ignore
+            (Network.step
+               ~inject:
+                 [
+                   { Network.t_sender = 0; t_target = target; t_bits = 1; t_msg = 0 };
+                 ]
+               sp)))
+    [ 3; -1; n ]
+
+let test_guard_codec_mismatch () =
+  let g = guard_graph () in
+  Alcotest.check_raises "a short payload is refused"
+    (Simulate.Codec_mismatch { algo = "mute"; declared = 1; encoded = 0 })
+    (fun () ->
+      ignore
+        (Simulate.lockstep_partitioned guard_fam
+           ~partition:(List.hd (guard_partitions g))
+           ~algo:(probe "mute" (from0 (fun ctx -> [ (first_neighbor ctx, 1) ])))
+           ~codecs:(Codec.uniform { Codec.cname = "empty"; enc = (fun _ -> []) })
+           ~accept:(fun _ -> true) guard_x guard_y))
+
 let () =
   Alcotest.run "reduction"
     [
@@ -409,5 +659,27 @@ let () =
             test_t2_wrapper_trace_identity;
           Alcotest.test_case "bitgadget t=4 exhaustive differential" `Slow
             test_bitgadget_t4_differential;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "mds k=2 (t=2)" `Quick test_golden_mds;
+          Alcotest.test_case "hampath k=2 (directed)" `Quick test_golden_hampath;
+          Alcotest.test_case "bitgadget k=8 (t=4)" `Quick test_golden_bitgadget;
+          Alcotest.test_case "maxcut sample (per-vertex rng)" `Quick
+            test_golden_maxcut_sample;
+        ] );
+      ( "guards",
+        [
+          Alcotest.test_case "send to a non-neighbour" `Quick
+            test_guard_non_neighbor;
+          Alcotest.test_case "two messages on one edge" `Quick
+            test_guard_one_per_edge;
+          Alcotest.test_case "over-bandwidth message" `Quick test_guard_bandwidth;
+          Alcotest.test_case "outbox checks before bandwidth" `Quick
+            test_guard_check_order;
+          Alcotest.test_case "round guard" `Quick test_guard_round_limit;
+          Alcotest.test_case "inject to an unowned vertex" `Quick
+            test_guard_unowned_inject;
+          Alcotest.test_case "codec mismatch" `Quick test_guard_codec_mismatch;
         ] );
     ]
