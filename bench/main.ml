@@ -815,7 +815,7 @@ let verify_benches ~smoke () =
             let fam = fam_of "mds" ~k:4 in
             let xs = Array.of_list (Bits.all 16) in
             let counts =
-              Pool.parallel_chunks p ~lo:0 ~hi:(128 * 16) (fun lo hi ->
+              Pool.parallel_chunks p ~lo:0 ~hi:(128 * 16) (fun ~worker:_ lo hi ->
                   let bad = ref 0 in
                   for i = lo to hi - 1 do
                     let x = xs.(257 * (i / 16)) and y = xs.(i mod 16) in

@@ -4,7 +4,7 @@ module Obs = Ch_obs.Obs
 
 (* Telemetry spans shared by every verification path: [apply_inputs]
    wraps instance construction, [solver] wraps the predicate (scratch or
-   prepared), [core_build] wraps per-chunk incremental preparation, and
+   prepared), [core_build] wraps per-worker incremental preparation, and
    [sidedness] wraps Definition 1.1 fingerprint checks.  All no-ops
    unless Obs is enabled. *)
 let sp_apply = Obs.span "apply_inputs"
@@ -227,17 +227,28 @@ type verdict_run = {
 (* The index range is chunked over the default domain pool (or [pool])
    and merged in range order; every pair is a pure function of its index,
    so the result is bit-identical for any CH_JOBS.  One prepared instance
-   per chunk: the per-instance query scratch stays domain-local while the
-   memoized core tables are shared. *)
+   per pool worker, built by the first chunk that worker runs and reused
+   by its later ones: the per-instance query scratch stays domain-local
+   (two chunks never run on one worker at once) while the memoized core
+   tables are shared.  Stats are read once per instance, after the run. *)
 let verdicts ?pool inc mode ~lo ~hi =
   let fam = inc.scratch in
   if lo < 0 || hi < lo || hi > pair_count fam mode then
     invalid_arg "Framework.verdicts: need 0 <= lo <= hi <= pair_count";
   let pair = pair_at fam mode in
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let chunks =
-    Pool.parallel_chunks pool ~lo ~hi (fun clo chi ->
+  let instances = Array.make (Pool.jobs pool) None in
+  let instance worker =
+    match instances.(worker) with
+    | Some p -> p
+    | None ->
         let p = Obs.with_span sp_core inc.prepare in
+        instances.(worker) <- Some p;
+        p
+  in
+  let chunks =
+    Pool.parallel_chunks pool ~lo ~hi (fun ~worker clo chi ->
+        let p = instance worker in
         let bad = ref 0 in
         let v =
           Array.init (chi - clo) (fun j ->
@@ -246,15 +257,17 @@ let verdicts ?pool inc mode ~lo ~hi =
               if v <> fam.f x y then incr bad;
               v)
         in
-        (v, !bad, p.pstats ()))
+        (v, !bad))
   in
   {
-    verdicts = Array.concat (List.map (fun (v, _, _) -> v) chunks);
-    failures = List.fold_left (fun acc (_, b, _) -> acc + b) 0 chunks;
+    verdicts = Array.concat (List.map fst chunks);
+    failures = List.fold_left (fun acc (_, b) -> acc + b) 0 chunks;
     stats =
-      List.fold_left
-        (fun acc (_, _, s) -> add_cache_stats acc s)
-        no_cache_stats chunks;
+      Array.fold_left
+        (fun acc -> function
+          | Some p -> add_cache_stats acc (p.pstats ())
+          | None -> acc)
+        no_cache_stats instances;
   }
 
 let verify_random_inc ?pool ~seed ~samples inc =
@@ -286,7 +299,7 @@ let check_sidedness ?pool ~seed ~samples fam =
         !ok)
   in
   let oks =
-    Pool.parallel_chunks pool ~lo:0 ~hi:samples (fun lo hi ->
+    Pool.parallel_chunks pool ~lo:0 ~hi:samples (fun ~worker:_ lo hi ->
         let ok = ref true in
         for i = lo to hi - 1 do
           if not (sample_ok i) then ok := false

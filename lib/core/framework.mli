@@ -178,15 +178,21 @@ val failures : t -> mode -> bool array -> int
 type verdict_run = {
   verdicts : bool array;  (** P(G_{x,y}) per index of the range *)
   failures : int;  (** indices where the verdict differs from f(x,y) *)
-  stats : cache_stats;  (** summed over the chunks' prepared instances *)
+  stats : cache_stats;
+      (** summed once over the prepared instances of the call (one per
+          pool worker that ran a chunk): each instance's prepare
+          (hit or miss) plus every query it answered *)
 }
 
 val verdicts :
   ?pool:Pool.t -> incremental -> mode -> lo:int -> hi:int -> verdict_run
 (** Decide the indices [\[lo, hi)] of the mode's pair space.  The range
-    is cut into {!Pool.parallel_chunks} chunks; each chunk calls
-    [prepare] once, so the mutable per-instance state never crosses
-    domains.  The failure count is taken in the same pass.
+    is cut into {!Pool.parallel_chunks} chunks (about four per worker,
+    for load balance).  Each pool worker calls [prepare] once, on the
+    first chunk it runs, and reuses that instance for its later chunks
+    of the call: a one-worker pool prepares exactly once, a [j]-worker
+    pool at most [j] times, and the mutable per-instance state never
+    crosses domains.  The failure count is taken in the same pass.
     @raise Invalid_argument unless [0 <= lo <= hi <= pair_count]. *)
 
 val verify_random_inc :

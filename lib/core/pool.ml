@@ -11,7 +11,7 @@
    index's result slot and derive any randomness from their index, so the
    merged result is independent of which domain ran what. *)
 
-type batch = { tasks : (int -> unit) array; claimed : bool Atomic.t array }
+type batch = { tasks : (worker:int -> unit) array; claimed : bool Atomic.t array }
 
 type t = {
   jobs : int;
@@ -37,10 +37,11 @@ let jobs_from_env () =
 
 let jobs t = t.jobs
 
-(* Run task [i] of [b], then retire it; exceptions are recorded (first
-   wins) instead of escaping, so the batch always drains. *)
-let run_task t b i =
-  (try b.tasks.(i) i
+(* Run task [i] of [b] as worker [w], then retire it; exceptions are
+   recorded (first wins) instead of escaping, so the batch always
+   drains. *)
+let run_task t b w i =
+  (try b.tasks.(i) ~worker:w
    with e ->
      let bt = Printexc.get_raw_backtrace () in
      Mutex.lock t.mutex;
@@ -58,7 +59,7 @@ let work t b w =
   let n = Array.length b.tasks in
   let i = ref w in
   while !i < n do
-    if claim b !i then run_task t b !i;
+    if claim b !i then run_task t b w !i;
     i := !i + t.jobs
   done;
   for v = 1 to t.jobs - 1 do
@@ -66,7 +67,7 @@ let work t b w =
     if v < n then begin
       let i = ref (v + ((n - 1 - v) / t.jobs * t.jobs)) in
       while !i >= 0 do
-        if claim b !i then run_task t b !i;
+        if claim b !i then run_task t b w !i;
         i := !i - t.jobs
       done
     end
@@ -154,7 +155,7 @@ let default () =
   Mutex.unlock registry_mutex;
   t
 
-let run_sequential tasks = List.iteri (fun i f -> f i) tasks
+let run_sequential tasks = List.iter (fun f -> f ~worker:0) tasks
 
 let run t tasks =
   let n = List.length tasks in
@@ -169,7 +170,9 @@ let run t tasks =
        tree shape is then independent of CH_JOBS) *)
     let ctx = Ch_obs.Obs.current_ctx () in
     let tasks =
-      List.map (fun f i -> Ch_obs.Obs.with_ctx ctx (fun () -> f i)) tasks
+      List.map
+        (fun f ~worker -> Ch_obs.Obs.with_ctx ctx (fun () -> f ~worker))
+        tasks
     in
     let b =
       { tasks = Array.of_list tasks; claimed = Array.init n (fun _ -> Atomic.make false) }
@@ -196,16 +199,15 @@ let run t tasks =
     | None -> ()
   end
 
+(* [f ~worker i] for i in [0, n), results in index order. *)
+let map_range t n f =
+  let out = Array.make n None in
+  run t (List.init n (fun i ~worker -> out.(i) <- Some (f ~worker i)));
+  Array.to_list (Array.map Option.get out)
+
 let parallel_map t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-      let arr = Array.of_list xs in
-      let out = Array.make (Array.length arr) None in
-      run t
-        (List.init (Array.length arr) (fun i _ -> out.(i) <- Some (f arr.(i))));
-      Array.to_list (Array.map Option.get out)
+  let arr = Array.of_list xs in
+  map_range t (Array.length arr) (fun ~worker:_ i -> f arr.(i))
 
 let parallel_chunks t ?chunk_size ~lo ~hi f =
   if hi <= lo then []
@@ -217,10 +219,9 @@ let parallel_chunks t ?chunk_size ~lo ~hi f =
       | Some c -> invalid_arg (Printf.sprintf "Pool.parallel_chunks: chunk_size %d" c)
       | None -> max 1 (total / (4 * t.jobs))
     in
-    let nchunks = (total + chunk - 1) / chunk in
-    parallel_map t
-      (fun c ->
+    map_range t
+      ((total + chunk - 1) / chunk)
+      (fun ~worker c ->
         let clo = lo + (c * chunk) in
-        f clo (min hi (clo + chunk)))
-      (List.init nchunks Fun.id)
+        f ~worker clo (min hi (clo + chunk)))
   end

@@ -52,11 +52,14 @@ val default : unit -> t
     [create ()].  The verification layer and the benchmark harness use
     this unless handed an explicit pool. *)
 
-val run : t -> (int -> unit) list -> unit
+val run : t -> (worker:int -> unit) list -> unit
 (** [run pool tasks] executes every task exactly once, in parallel, and
-    returns when all have finished.  Each task receives its own index.
-    The first exception raised by any task is re-raised after the batch
-    drains. *)
+    returns when all have finished.  Each task receives the index of the
+    worker running it: [0] for the calling domain, [1 .. jobs - 1] for
+    the spawned ones, and [0] throughout a batch that runs sequentially.
+    Tasks running at the same time within one batch never share an
+    index, so per-worker state indexed by it needs no lock.  The first
+    exception raised by any task is re-raised after the batch drains. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like [List.map], with the applications distributed over the pool.
@@ -64,11 +67,18 @@ val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
     schedule. *)
 
 val parallel_chunks :
-  t -> ?chunk_size:int -> lo:int -> hi:int -> (int -> int -> 'a) -> 'a list
+  t ->
+  ?chunk_size:int ->
+  lo:int ->
+  hi:int ->
+  (worker:int -> int -> int -> 'a) ->
+  'a list
 (** [parallel_chunks pool ~lo ~hi f] splits the half-open range
-    [\[lo, hi)] into contiguous chunks, evaluates [f chunk_lo chunk_hi]
-    for each in parallel, and returns the per-chunk results in range
-    order.  [chunk_size] defaults to a value that yields roughly four
+    [\[lo, hi)] into contiguous chunks, evaluates
+    [f ~worker chunk_lo chunk_hi] for each in parallel, and returns the
+    per-chunk results in range order.  [worker] is as in {!run}, so a
+    chunk can reuse state its worker built for an earlier chunk of the
+    same call.  [chunk_size] defaults to a value that yields roughly four
     chunks per worker, so stealing can rebalance uneven chunks. *)
 
 val shutdown : t -> unit

@@ -93,10 +93,18 @@ let iter_edges f g =
     Hashtbl.iter (fun v w -> if u < v then f u v w) g.adj.(u)
   done
 
+(* Sorted by (u, v): rows are visited in decreasing u, each row's
+   higher neighbours sorted in decreasing v and consed on, so only the
+   short per-row lists are ever sorted. *)
 let edges g =
   let acc = ref [] in
-  iter_edges (fun u v w -> acc := (u, v, w) :: !acc) g;
-  List.sort compare !acc
+  for u = g.n - 1 downto 0 do
+    let row = Hashtbl.fold (fun v w r -> if u < v then (v, w) :: r else r) g.adj.(u) [] in
+    List.iter
+      (fun (v, w) -> acc := (u, v, w) :: !acc)
+      (List.sort (fun (a, _) (b, _) -> Int.compare b a) row)
+  done;
+  !acc
 
 let total_edge_weight g =
   let acc = ref 0 in
@@ -159,8 +167,35 @@ let union_disjoint a b =
   iter_edges (fun u v w -> add_edge ~w g (a.n + u) (a.n + v)) b;
   g
 
+(* Edge-set equality without building or sorting edge lists: with equal
+   vertex counts, row [v] of [b] must have as many entries as row [v] of
+   [a], each present in [a]'s row with the same weight.  Rows hold no
+   duplicate keys, so containment plus equal size is equality.  [a]'s
+   row is stamped into two scratch arrays (tagged with [v], so no reset
+   between rows) rather than probed through the hash function. *)
 let equal_structure a b =
-  a.n = b.n && a.m = b.m && a.vweight = b.vweight && edges a = edges b
+  a.n = b.n && a.m = b.m && a.vweight = b.vweight
+  &&
+  let mark = Array.make a.n (-1) and weight = Array.make a.n 0 in
+  let same_row v =
+    let ra = a.adj.(v) and rb = b.adj.(v) in
+    Hashtbl.length ra = Hashtbl.length rb
+    && begin
+         Hashtbl.iter
+           (fun u w ->
+             mark.(u) <- v;
+             weight.(u) <- w)
+           ra;
+         try
+           Hashtbl.iter
+             (fun u w -> if mark.(u) <> v || weight.(u) <> w then raise_notrace Exit)
+             rb;
+           true
+         with Exit -> false
+       end
+  in
+  let rec rows v = v = a.n || (same_row v && rows (v + 1)) in
+  rows 0
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n g.m;

@@ -48,8 +48,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 (* Core tables are immutable once published (the MIS tables' lazily
-   filled values aside), so concurrent verification chunks (one prepared
-   instance per chunk) can share one computation.  Every memo has the
+   filled values aside), so concurrent verification workers (one
+   prepared instance each) can share one computation.  Every memo has the
    same shape: hash buckets of (frozen key, tables) pairs, probed with a
    full [equal] re-check so a hash collision can never serve wrong
    tables.  [freeze] snapshots the key at insertion, so later in-place
@@ -162,6 +162,9 @@ type steiner = {
   sparent : int array;
   sstamp : int array;
   mutable sround : int;
+  (* the query's extra edges as endpoint arrays, grown on demand *)
+  mutable seu : int array;
+  mutable sev : int array;
   sc : Tally.t;
 }
 
@@ -263,33 +266,46 @@ let steiner_prepare g ~terminals ~cap =
     sparent = Array.make 256 0;
     sstamp = Array.make 256 (-1);
     sround = 0;
+    seu = [||];
+    sev = [||];
     sc = Tally.make steiner_kind ~was_hit;
   }
+
+(* Path-compressing find over the stamped scratch union-find; [uf_touch]
+   resets a component id the first time the current round sees it. *)
+let rec uf_find parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    let r = uf_find parent p in
+    parent.(x) <- r;
+    r
+  end
+
+let uf_touch c x =
+  if c.sstamp.(x) <> c.sround then begin
+    c.sstamp.(x) <- c.sround;
+    c.sparent.(x) <- x
+  end
 
 let steiner_min_extra c ~extra =
   Tally.query c.sc;
   let t = c.st in
   let n = t.sn in
-  List.iter
-    (fun (u, v) ->
+  let ne = List.length extra in
+  if Array.length c.seu < ne then begin
+    c.seu <- Array.make ne 0;
+    c.sev <- Array.make ne 0
+  end;
+  let eu = c.seu and ev = c.sev in
+  List.iteri
+    (fun e (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Cache.steiner_min_extra: edge out of range")
+        invalid_arg "Cache.steiner_min_extra: edge out of range";
+      eu.(e) <- u;
+      ev.(e) <- v)
     extra;
-  let parent = c.sparent and stamp = c.sstamp in
-  let rec find x =
-    if parent.(x) = x then x
-    else begin
-      let r = find parent.(x) in
-      parent.(x) <- r;
-      r
-    end
-  in
-  let touch x =
-    if stamp.(x) <> c.sround then begin
-      stamp.(x) <- c.sround;
-      parent.(x) <- x
-    end
-  in
+  let parent = c.sparent and comp = t.scomp in
   let exception Hit of int in
   let scanned = ref 0 in
   let result =
@@ -301,21 +317,20 @@ let steiner_min_extra c ~extra =
           if !classes = 1 then raise (Hit s);
           c.sround <- c.sround + 1;
           let base = i * n in
-          List.iter
-            (fun (u, v) ->
-              let cu = Char.code (Bytes.get t.scomp (base + u))
-              and cv = Char.code (Bytes.get t.scomp (base + v)) in
-              if cu <> 0xff && cv <> 0xff then begin
-                touch cu;
-                touch cv;
-                let ru = find cu and rv = find cv in
-                if ru <> rv then begin
-                  parent.(ru) <- rv;
-                  decr classes
-                end
-              end)
-            extra;
-          if !classes = 1 then raise (Hit s)
+          for e = 0 to ne - 1 do
+            let cu = Char.code (Bytes.get comp (base + eu.(e)))
+            and cv = Char.code (Bytes.get comp (base + ev.(e))) in
+            if cu <> 0xff && cv <> 0xff then begin
+              uf_touch c cu;
+              uf_touch c cv;
+              let ru = uf_find parent cu and rv = uf_find parent cv in
+              if ru <> rv then begin
+                parent.(ru) <- rv;
+                decr classes;
+                if !classes = 1 then raise (Hit s)
+              end
+            end
+          done
         done
       done;
       None
@@ -338,7 +353,17 @@ type maxcut_tables = {
   mtable : int array;  (* Maxcut.conditioned_max of the core *)
 }
 
-type maxcut = { mt : maxcut_tables; mc : Tally.t }
+(* Per-instance query scratch: the extra edges as an adjacency over
+   volatile indices in flat arrays (row [i] is [mstart.(i) ..
+   mstart.(i+1) - 1]), grown on demand. *)
+type maxcut = {
+  mt : maxcut_tables;
+  mc : Tally.t;
+  mstart : int array;
+  mpos : int array;
+  mutable mnbr : int array;
+  mutable mwt : int array;
+}
 
 let maxcut_memo : (gkey, maxcut_tables) Memo.t = graph_memo ()
 let maxcut_kind = Tally.kind "maxcut"
@@ -365,44 +390,78 @@ let maxcut_prepare g ~volatile =
         Tally.built maxcut_kind;
         build_maxcut_tables g ~volatile)
   in
-  { mt = tables; mc = Tally.make maxcut_kind ~was_hit }
+  let s = tables.mnvol in
+  {
+    mt = tables;
+    mc = Tally.make maxcut_kind ~was_hit;
+    mstart = Array.make (s + 1) 0;
+    mpos = Array.make (max s 1) 0;
+    mnbr = [||];
+    mwt = [||];
+  }
 
 let maxcut_max ?stop_at c ~extra =
   Tally.query c.mc;
   let t = c.mt in
   let s = t.mnvol in
-  let adj = Array.make (max s 1) [] in
+  let start = c.mstart in
+  Array.fill start 0 (s + 1) 0;
+  let ne = ref 0 in
   List.iter
-    (fun (u, v, w) ->
+    (fun (u, v, _) ->
       if u < 0 || u >= t.mn || v < 0 || v >= t.mn then
         invalid_arg "Cache.maxcut_max: edge out of range";
       let iu = t.mvol_index.(u) and iv = t.mvol_index.(v) in
       if iu < 0 || iv < 0 then
         invalid_arg "Cache.maxcut_max: extra edge endpoint not volatile";
-      adj.(iu) <- (iv, w) :: adj.(iu);
-      adj.(iv) <- (iu, w) :: adj.(iv))
+      start.(iu + 1) <- start.(iu + 1) + 1;
+      start.(iv + 1) <- start.(iv + 1) + 1;
+      ne := !ne + 2)
+    extra;
+  if Array.length c.mnbr < !ne then begin
+    c.mnbr <- Array.make !ne 0;
+    c.mwt <- Array.make !ne 0
+  end;
+  for i = 1 to s do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let pos = c.mpos and nbr = c.mnbr and wt = c.mwt in
+  Array.blit start 0 pos 0 s;
+  List.iter
+    (fun (u, v, w) ->
+      let iu = t.mvol_index.(u) and iv = t.mvol_index.(v) in
+      nbr.(pos.(iu)) <- iv;
+      wt.(pos.(iu)) <- w;
+      pos.(iu) <- pos.(iu) + 1;
+      nbr.(pos.(iv)) <- iu;
+      wt.(pos.(iv)) <- w;
+      pos.(iv) <- pos.(iv) + 1)
     extra;
   (* Gray walk over the 2^s volatile assignments: the extra-edge cut
-     weight is maintained incrementally, the core contributes m.(va).
-     With [stop_at] the walk ends as soon as the bound is witnessed:
-     the result is then exact below the bound, and any value ≥ the
-     bound certifies the true maximum is too. *)
+     weight is maintained incrementally, the core contributes m.(va),
+     and bit j of [va] is volatile vertex j's side.  With [stop_at] the
+     walk ends as soon as the bound is witnessed: the result is then
+     exact below the bound, and any value ≥ the bound certifies the true
+     maximum is too. *)
   let stop = match stop_at with Some b -> b | None -> max_int in
-  let side = Array.make (max s 1) false in
-  let best = ref t.mtable.(0) and weight = ref 0 and va = ref 0 in
+  let table = t.mtable in
+  let best = ref table.(0) and weight = ref 0 and va = ref 0 in
   (try
      if !best >= stop then raise Exit;
      for tt = 1 to (1 lsl s) - 1 do
-       let i = Bitset.trailing_zeros tt in
-       let delta =
-         List.fold_left
-           (fun acc (j, w) -> if side.(j) = side.(i) then acc + w else acc - w)
-           0 adj.(i)
-       in
-       weight := !weight + delta;
-       side.(i) <- not side.(i);
+       (* the flipped index is ctz tt: 2 probes on average over the walk *)
+       let i = ref 0 in
+       while tt land (1 lsl !i) = 0 do
+         incr i
+       done;
+       let i = !i in
+       let side_i = (!va lsr i) land 1 in
+       for e = start.(i) to start.(i + 1) - 1 do
+         if (!va lsr nbr.(e)) land 1 = side_i then weight := !weight + wt.(e)
+         else weight := !weight - wt.(e)
+       done;
        va := !va lxor (1 lsl i);
-       if !weight + t.mtable.(!va) > !best then best := !weight + t.mtable.(!va);
+       if !weight + table.(!va) > !best then best := !weight + table.(!va);
        if !best >= stop then raise Exit
      done
    with Exit -> ());
@@ -454,7 +513,14 @@ type mis_tables = {
   mi_vals : int array;  (* lazy memo; -1 = not evaluated yet *)
 }
 
-type mis = { mi : mis_tables; mic : Tally.t; mutable mieval : (int -> int) option }
+(* [miconf] is per-instance query scratch: volatile index -> mask of the
+   indices an extra edge joins it to. *)
+type mis = {
+  mi : mis_tables;
+  mic : Tally.t;
+  mutable mieval : (int -> int) option;
+  miconf : int array;
+}
 
 let mis_memo : (gkey, mis_tables) Memo.t = graph_memo ()
 let mis_kind = Tally.kind "mis"
@@ -560,7 +626,12 @@ let prepare_mis ~weighted g ~volatile =
         Tally.built kind;
         build_mis_tables ~weighted frozen ~volatile)
   in
-  { mi = tables; mic = Tally.make kind ~was_hit; mieval = None }
+  {
+    mi = tables;
+    mic = Tally.make kind ~was_hit;
+    mieval = None;
+    miconf = Array.make (max (Array.length tables.mi_vol) 1) 0;
+  }
 
 let mis_prepare = prepare_mis ~weighted:false
 let mwis_prepare = prepare_mis ~weighted:true
@@ -604,26 +675,37 @@ let mis_alpha c ~extra =
   Tally.query c.mic;
   let t = c.mi in
   let n = Graph.n t.mi_core in
-  let forbidden =
-    List.map
-      (fun (u, v) ->
+  let conf = c.miconf in
+  Array.fill conf 0 (Array.length conf) 0;
+  let touched =
+    List.fold_left
+      (fun touched (u, v) ->
         if u < 0 || u >= n || v < 0 || v >= n then
           invalid_arg "Cache.mis_alpha: edge out of range";
         let iu = t.mi_vol_index.(u) and iv = t.mi_vol_index.(v) in
         if iu < 0 || iv < 0 then
           invalid_arg "Cache.mis_alpha: extra edge endpoint not volatile";
-        (1 lsl iu) lor (1 lsl iv))
-      extra
+        conf.(iu) <- conf.(iu) lor (1 lsl iv);
+        conf.(iv) <- conf.(iv) lor (1 lsl iu);
+        touched lor (1 lsl iu) lor (1 lsl iv))
+      0 extra
   in
-  let ok mask = List.for_all (fun p -> mask land p <> p) forbidden in
   (* Scan in decreasing-ub order; stop once no later entry's bound can
-     beat the best exact value.  The empty subset is always compatible,
-     so [best] is eventually set and the scan terminates. *)
-  let nentries = Array.length t.mi_masks in
+     beat the best exact value.  An entry is compatible when none of its
+     members touched by an extra edge has a conflict inside it.  The
+     empty subset is always compatible, so [best] is eventually set and
+     the scan terminates. *)
+  let masks = t.mi_masks and ubs = t.mi_ubs in
+  let nentries = Array.length masks in
   let best = ref min_int in
   let i = ref 0 in
-  while !i < nentries && t.mi_ubs.(!i) > !best do
-    if ok t.mi_masks.(!i) then begin
+  while !i < nentries && ubs.(!i) > !best do
+    let mask = masks.(!i) in
+    let rest = ref (mask land touched) in
+    while !rest <> 0 && mask land conf.(Bitset.trailing_zeros !rest) = 0 do
+      rest := !rest land (!rest - 1)
+    done;
+    if !rest = 0 then begin
       let v = mis_entry_value c !i in
       if v > !best then best := v
     end;
@@ -635,24 +717,25 @@ let mwis_weight = mis_alpha
 let mis_stats c = Tally.stats c.mic
 
 (* ------------------------------------------------------------------ *)
-(* Node-weighted Steiner: feasibility of every connector set           *)
+(* Node-weighted Steiner: the inclusion-minimal feasible connector sets *)
 (* ------------------------------------------------------------------ *)
 
 (* Steiner.node_weighted equals min over U ⊇ terminals with G[U]
    connected of w(U): a minimum tree's vertex set induces a connected
    subgraph, and a spanning tree of any connected G[U] contains the
    terminals at weight w(U).  Connectivity of G[U] depends on the core
-   topology alone, so it is tabulated here over every subset of
-   non-terminals; a query only folds the current vertex weights over the
-   feasible masks — which is how the Section 4.4 family (fixed topology,
+   topology alone, so it is decided here for every subset S of
+   non-terminals — which is how the Section 4.4 family (fixed topology,
    input-dependent weights) answers each pair without a Dreyfus–Wagner
-   run. *)
+   run.  Weights are checked non-negative, so every feasible S contains
+   an inclusion-minimal feasible S' with w(S') ≤ w(S): only those minimal
+   masks are kept, and a query sums the current weights over each. *)
 
 type nwsteiner_tables = {
   nw_n : int;
-  nw_terms : int list;  (* sorted terminals *)
+  nw_terms : int array;  (* sorted terminals *)
   nw_nonterm : int array;  (* non-terminal vertex per mask bit *)
-  nw_feasible : Bytes.t;  (* 2^|nonterm| flags: G[terms ∪ S] connected *)
+  nw_minimal : int array;  (* inclusion-minimal masks with G[terms ∪ S] connected *)
 }
 
 type nwsteiner = { nwt : nwsteiner_tables; nwc : Tally.t }
@@ -694,7 +777,27 @@ let build_nwsteiner_tables g ~terminals =
       edges;
     if !classes = 1 then Bytes.set feasible mask '\001'
   done;
-  { nw_n = n; nw_terms = terminals; nw_nonterm = nonterm; nw_feasible = feasible }
+  (* Subset sweep in increasing mask order: [below] marks the masks with
+     a feasible proper subset, read off the masks one bit smaller. *)
+  let below = Bytes.make (1 lsl m) '\000' in
+  let minimal = ref [] in
+  for mask = 0 to (1 lsl m) - 1 do
+    let rest = ref mask in
+    while !rest <> 0 && Bytes.get below mask = '\000' do
+      let sub = mask lxor (!rest land - !rest) in
+      if Bytes.get feasible sub = '\001' || Bytes.get below sub = '\001' then
+        Bytes.set below mask '\001';
+      rest := !rest land (!rest - 1)
+    done;
+    if Bytes.get feasible mask = '\001' && Bytes.get below mask = '\000' then
+      minimal := mask :: !minimal
+  done;
+  {
+    nw_n = n;
+    nw_terms = Array.of_list terminals;
+    nw_nonterm = nonterm;
+    nw_minimal = Array.of_list (List.rev !minimal);
+  }
 
 let nwsteiner_prepare g ~terminals =
   let aux =
@@ -712,21 +815,24 @@ let nwsteiner_cost c ~weights =
   let t = c.nwt in
   if Array.length weights <> t.nw_n then
     invalid_arg "Cache.nwsteiner_cost: weights length mismatch";
-  Array.iter
-    (fun w -> if w < 0 then invalid_arg "Steiner.node_weighted: negative weight")
-    weights;
-  let base = List.fold_left (fun acc v -> acc + weights.(v)) 0 t.nw_terms in
-  let m = Array.length t.nw_nonterm in
-  let wsum = Array.make (1 lsl m) 0 in
-  let best = ref max_int in
-  if Bytes.get t.nw_feasible 0 = '\001' then best := base;
-  for mask = 1 to (1 lsl m) - 1 do
-    let low = mask land -mask in
-    wsum.(mask) <- wsum.(mask lxor low) + weights.(t.nw_nonterm.(Bitset.trailing_zeros mask));
-    if Bytes.get t.nw_feasible mask = '\001' && base + wsum.(mask) < !best then
-      best := base + wsum.(mask)
+  for v = 0 to t.nw_n - 1 do
+    if weights.(v) < 0 then invalid_arg "Steiner.node_weighted: negative weight"
   done;
-  if !best = max_int then
+  let base = ref 0 in
+  for i = 0 to Array.length t.nw_terms - 1 do
+    base := !base + weights.(t.nw_terms.(i))
+  done;
+  let nonterm = t.nw_nonterm and minimal = t.nw_minimal in
+  let best = ref max_int in
+  for k = 0 to Array.length minimal - 1 do
+    let rest = ref minimal.(k) and sum = ref !base in
+    while !rest <> 0 do
+      sum := !sum + weights.(nonterm.(Bitset.trailing_zeros !rest));
+      rest := !rest land (!rest - 1)
+    done;
+    if !sum < !best then best := !sum
+  done;
+  if Array.length minimal = 0 then
     invalid_arg "Steiner.node_weighted: terminals disconnected"
   else !best
 
@@ -861,11 +967,12 @@ type dump = {
   d_dsteiner : (dkey * dsteiner_tables) list;
 }
 
-(* Changes with the dump layout (it was "chcache2" before every memo
-   shared one entry shape): an older snapshot fails the tag check
-   cleanly (reported corrupt by the sweep store, recomputed) instead of
-   being misparsed. *)
-let snapshot_tag = "chcache3"
+(* Changes with the dump layout ("chcache2" before every memo shared one
+   entry shape, "chcache3" while the node-weighted Steiner tables held
+   one feasibility byte per connector mask): an older snapshot fails
+   the tag check cleanly (reported corrupt by the sweep store,
+   recomputed) instead of being misparsed. *)
+let snapshot_tag = "chcache4"
 
 let snapshot () =
   let dump =
@@ -891,6 +998,16 @@ let mis_entry_ok (_, t) =
   && (Array.iteri (fun i v -> if t.mi_vol_index.(v) <> i then raise Exit) t.mi_vol;
       true)
 
+(* A node-weighted Steiner query indexes the weights through these
+   arrays: a mangled entry fails the restore, not a later query. *)
+let nwsteiner_entry_ok (_, t) =
+  let in_range v = v >= 0 && v < t.nw_n in
+  let m = Array.length t.nw_nonterm in
+  m <= 18
+  && Array.for_all in_range t.nw_nonterm
+  && Array.for_all in_range t.nw_terms
+  && Array.for_all (fun mask -> mask >= 0 && mask < 1 lsl m) t.nw_minimal
+
 let restore s =
   let tl = String.length snapshot_tag in
   if String.length s < tl || String.sub s 0 tl <> snapshot_tag then
@@ -898,7 +1015,10 @@ let restore s =
   let dump =
     try
       let d = (Marshal.from_string s tl : dump) in
-      if List.for_all mis_entry_ok d.d_mis then d else raise Exit
+      if List.for_all mis_entry_ok d.d_mis
+         && List.for_all nwsteiner_entry_ok d.d_nwsteiner
+      then d
+      else raise Exit
     with _ -> failwith "Cache.restore: unparseable snapshot"
   in
   Memo.restore steiner_memo dump.d_steiner

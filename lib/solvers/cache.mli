@@ -19,7 +19,26 @@ open Ch_graph
     Tables are plain data, safe to share across domains (MIS values are
     filled lazily under one lock); the per-instance query scratch is
     not, so use one prepared instance per worker (the framework prepares
-    one per verification chunk).
+    one per pool worker and reuses it across that worker's chunks).
+
+    {b Query cost.}  A prepare is a structural hash of the core plus a
+    sort-free {!Graph.equal_structure} re-check of the memo hit.  Per-pair
+    queries allocate nothing beyond per-instance scratch arrays, which
+    grow to the largest [extra] seen and are then reused:
+    - {!steiner_min_extra}: [extra] copied into two endpoint arrays, then
+      per candidate set, in size order, one union-find step per extra
+      edge until the terminals connect;
+    - {!maxcut_max}: [extra] laid out as a flat adjacency over volatile
+      indices, then a Gray walk over the [2^|volatile|] assignments, one
+      step per extra edge at the flipped vertex;
+    - {!mis_alpha} / {!mwis_weight}: one conflict mask per volatile index
+      built from [extra], then each entry scanned is tested against the
+      masks of its touched members (lazily solved entries aside);
+    - {!nwsteiner_cost}: one weight sum over each inclusion-minimal
+      feasible connector mask;
+    - {!dsteiner_cost}: a copied row array plus one Dreyfus–Wagner run;
+    - {!domset_balls}: a copied ball array, one ball copied per touched
+      endpoint.
 
     {b Counters:} a [miss] is a core-table computation; a [hit] is an
     operation served from cached tables (a memoized prepare, or a
@@ -112,24 +131,28 @@ val mwis_weight : mis -> extra:(int * int) list -> int
     [fst (Mis.max_weight_set core_with_extra)].  Every [extra] edge must
     have both endpoints volatile. *)
 
-(** {1 Node-weighted Steiner: connector-set feasibility table} *)
+(** {1 Node-weighted Steiner: minimal feasible connector sets} *)
 
 type nwsteiner
 
 val nwsteiner_prepare : Graph.t -> terminals:int list -> nwsteiner
-(** Tabulate, for every subset S of non-terminals, whether the subgraph
-    induced on [terminals ∪ S] is connected.  {!Steiner.node_weighted}
-    equals the minimum of [w(terminals ∪ S)] over feasible S, so for
+(** Decide, for every subset S of non-terminals, whether the subgraph
+    induced on [terminals ∪ S] is connected, and keep only the
+    inclusion-minimal feasible S (an O(2^m·m) subset sweep over the m
+    non-terminals).  {!Steiner.node_weighted} equals the minimum of
+    [w(terminals ∪ S)] over feasible S, and with non-negative weights
+    some minimum-weight feasible S is inclusion-minimal, so for
     fixed-topology families whose inputs only move vertex weights
-    (Theorem 4.4, node-weighted) a per-pair query is a weight fold, not a
-    Dreyfus–Wagner run.  @raise Invalid_argument when there are more than
-    18 non-terminals. *)
+    (Theorem 4.4, node-weighted) a per-pair query is a weight sum over
+    those masks, not a Dreyfus–Wagner run.  @raise Invalid_argument when
+    there are more than 18 non-terminals. *)
 
 val nwsteiner_cost : nwsteiner -> weights:int array -> int
 (** [Steiner.node_weighted] of the core under [weights] (one weight per
-    core vertex): minimum over the feasible connector masks via an
-    incremental subset-sum.  Raises the same [Invalid_argument]s as the
-    from-scratch solver on negative weights or disconnected terminals. *)
+    core vertex): the minimum weight sum over the minimal feasible
+    connector masks.  Raises the same [Invalid_argument]s as the
+    from-scratch solver on negative weights or disconnected terminals
+    (no feasible mask). *)
 
 val nwsteiner_stats : nwsteiner -> stats
 
@@ -182,7 +205,9 @@ val clear : unit -> unit
     server — begins from a previous run's core tables instead of
     rebuilding them.  A snapshot carries every memo's entries as they
     are (all tables are plain data): solved MIS/MWIS values survive the
-    round trip, unsolved ones stay lazy. *)
+    round trip, unsolved ones stay lazy.  The byte string starts with
+    the format tag [chcache4] (node-weighted Steiner tables as minimal
+    masks); older tags ([chcache3], [chcache2]) are refused. *)
 
 val snapshot : unit -> string
 (** A self-contained byte string of the current memo contents,

@@ -163,7 +163,7 @@ let run ?pool ?(procs = 1) ?store_dir ?fault_after
      let interrupted = Atomic.make false in
      Pool.run (pool ())
        (List.map
-          (fun i _task ->
+          (fun i ~worker:_ ->
             if (not (Atomic.get interrupted)) && should_stop () then
               Atomic.set interrupted true;
             if not (Atomic.get interrupted) then begin

@@ -311,6 +311,76 @@ let prop_components_partition =
       let comp, _ = Props.components g in
       List.for_all (fun (u, v, _) -> comp.(u) = comp.(v)) (Graph.edges g))
 
+(* [Graph.edges] is the sorted list of what [iter_edges] visits. *)
+let prop_edges_sorted =
+  QCheck.Test.make ~name:"edges = sorted iter_edges" ~count:100
+    QCheck.(pair (int_range 1 20) (int_bound 10_000))
+    (fun (n, seed) ->
+      let g = Gen.random_weights ~seed (Gen.gnp ~seed n 0.3) in
+      let acc = ref [] in
+      Graph.iter_edges (fun u v w -> acc := (u, v, w) :: !acc) g;
+      Graph.edges g = List.sort compare !acc)
+
+(* [Graph.equal_structure] against its definition: same n, vertex
+   weights and sorted weighted edge list.  Each case builds a second
+   graph from the first's edges inserted in a shuffled order, then
+   optionally perturbs one edge weight, one vertex weight, or moves one
+   edge to a non-edge (same m, different edge set). *)
+let prop_equal_structure =
+  let by_definition a b =
+    Graph.n a = Graph.n b
+    && Graph.vweights a = Graph.vweights b
+    && Graph.edges a = Graph.edges b
+  in
+  QCheck.Test.make ~name:"equal_structure = sorted-edge-list equality" ~count:200
+    QCheck.(triple (int_range 2 14) (int_bound 10_000) (int_bound 3))
+    (fun (n, seed, perturb) ->
+      let g = Gen.random_weights ~seed (Gen.gnp ~seed n 0.4) in
+      let rng = Random.State.make [| seed; 53 |] in
+      for v = 0 to n - 1 do
+        Graph.set_vweight g v (Random.State.int rng 5)
+      done;
+      let edges = Array.of_list (Graph.edges g) in
+      for i = Array.length edges - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = edges.(i) in
+        edges.(i) <- edges.(j);
+        edges.(j) <- t
+      done;
+      let h = Graph.create n in
+      Array.iter (fun (u, v, w) -> Graph.add_edge ~w h v u) edges;
+      Array.iteri (fun v w -> Graph.set_vweight h v w) (Graph.vweights g);
+      let shuffled_equal =
+        Graph.equal_structure g h
+        && Graph.equal_structure h g
+        && Props.structural_hash g = Props.structural_hash h
+      in
+      let non_edge () =
+        List.find_opt
+          (fun (u, v) -> not (Graph.mem_edge h u v))
+          (List.concat_map
+             (fun u -> List.init (n - u - 1) (fun d -> (u, u + 1 + d)))
+             (List.init n Fun.id))
+      in
+      (match perturb with
+      | 1 when Array.length edges > 0 ->
+          let u, v, w = edges.(0) in
+          Graph.set_edge_weight h u v (w + 1)
+      | 2 ->
+          let v = Random.State.int rng n in
+          Graph.set_vweight h v (Graph.vweight h v + 1)
+      | 3 when Array.length edges > 0 -> (
+          match non_edge () with
+          | Some (a, b) ->
+              let u, v, w = edges.(0) in
+              Graph.remove_edge h u v;
+              Graph.add_edge ~w h a b
+          | None -> ())
+      | _ -> ());
+      shuffled_equal
+      && Graph.equal_structure g h = by_definition g h
+      && Graph.equal_structure h g = by_definition h g)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "graph"
@@ -333,6 +403,8 @@ let () =
           Alcotest.test_case "union" `Quick test_graph_union;
           Alcotest.test_case "adjacency" `Quick test_graph_adjacency;
           Alcotest.test_case "dot export" `Quick test_to_dot;
+          qt prop_edges_sorted;
+          qt prop_equal_structure;
         ] );
       ("digraph", [ Alcotest.test_case "basic" `Quick test_digraph_basic ]);
       ( "gen",

@@ -267,6 +267,74 @@ let prop_nwsteiner_cache =
       let c = Cache.nwsteiner_prepare g ~terminals in
       Cache.nwsteiner_cost c ~weights = Ch_solvers.Steiner.node_weighted g' terminals)
 
+(* The decision form: with [~stop_at:b] drawn around the true maximum,
+   the result is exact below [b] and at least [b] (and still a real cut
+   value, so never above the maximum) otherwise. *)
+let prop_maxcut_stop_at =
+  QCheck.Test.make ~count:80 ~name:"Cache.maxcut_max ~stop_at decides against Maxcut.max_cut"
+    QCheck.(pair (int_range 2 9) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let g = Gen.random_weights ~seed (Gen.gnp ~seed n 0.4) in
+      let volatile = List.init ((n / 2) + 1) Fun.id in
+      let extra =
+        List.mapi
+          (fun i (u, v) -> (u, v, 1 + ((seed + i) mod 7)))
+          (random_extra ~seed:(seed + 1) g volatile)
+      in
+      let g' = Graph.copy g in
+      List.iter (fun (u, v, w) -> Graph.add_edge ~w g' u v) extra;
+      let best = fst (Ch_solvers.Maxcut.max_cut g') in
+      let rng = Random.State.make [| seed; 59 |] in
+      let stop_at = best - 3 + Random.State.int rng 7 in
+      Cache.clear ();
+      let c = Cache.maxcut_prepare g ~volatile in
+      let r = Cache.maxcut_max ~stop_at c ~extra in
+      if best < stop_at then r = best else r >= stop_at && r <= best)
+
+(* Zero weights make many connector sets tie, so the minimum must not
+   depend on which feasible set the scan meets first. *)
+let prop_nwsteiner_zero_weights =
+  QCheck.Test.make ~count:60 ~name:"Cache.nwsteiner_cost with zero-weight vertices"
+    QCheck.(pair (int_range 2 11) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let g = Gen.random_connected ~seed n 0.3 in
+      let rng = Random.State.make [| seed; 61 |] in
+      let terminals =
+        List.sort_uniq compare
+          (List.init (1 + Random.State.int rng 3) (fun _ -> Random.State.int rng n))
+      in
+      let weights =
+        Array.init n (fun _ ->
+            if Random.State.int rng 3 = 0 then 1 + Random.State.int rng 5 else 0)
+      in
+      let g' = Graph.copy g in
+      Array.iteri (Graph.set_vweight g') weights;
+      Cache.clear ();
+      let c = Cache.nwsteiner_prepare g ~terminals in
+      Cache.nwsteiner_cost c ~weights = Ch_solvers.Steiner.node_weighted g' terminals)
+
+(* Terminals in two components: the cache raises exactly the
+   from-scratch solver's [Invalid_argument]. *)
+let prop_nwsteiner_disconnected =
+  QCheck.Test.make ~count:40 ~name:"Cache.nwsteiner_cost raises like Steiner.node_weighted"
+    QCheck.(triple (int_range 1 6) (int_range 1 6) (int_range 0 10_000))
+    (fun (na, nb, seed) ->
+      let g =
+        Graph.union_disjoint
+          (Gen.random_connected ~seed na 0.4)
+          (Gen.random_connected ~seed:(seed + 1) nb 0.4)
+      in
+      let rng = Random.State.make [| seed; 67 |] in
+      let terminals = [ Random.State.int rng na; na + Random.State.int rng nb ] in
+      let weights = Array.init (na + nb) (fun _ -> Random.State.int rng 9) in
+      let g' = Graph.copy g in
+      Array.iteri (Graph.set_vweight g') weights;
+      let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+      Cache.clear ();
+      let c = Cache.nwsteiner_prepare g ~terminals in
+      let expected = raised (fun () -> Ch_solvers.Steiner.node_weighted g' terminals) in
+      expected <> None && raised (fun () -> Cache.nwsteiner_cost c ~weights) = expected)
+
 (* Extra arcs are random weighted non-arcs of the core; the cutoff is
    drawn around the unbounded optimum so both decision outcomes occur. *)
 let prop_dsteiner_cache =
@@ -407,6 +475,48 @@ let test_seed_derivation () =
   Alcotest.(check (pair int int)) "4 workers match the formula"
     (expected, samples + 4) (f4, t4)
 
+(* [Framework.verdicts] prepares one instance per pool worker, not one
+   per chunk: exactly once on a one-worker pool (which still runs
+   several chunks), at most four times on a four-worker pool, with the
+   same verdicts and failures either way. *)
+let test_prepare_count () =
+  let base = Mds_lb.incremental ~k:2 in
+  let prepares = Atomic.make 0 in
+  let inc =
+    {
+      base with
+      Framework.prepare =
+        (fun () ->
+          Atomic.incr prepares;
+          base.Framework.prepare ());
+    }
+  in
+  let p1 = Pool.create ~jobs:1 () in
+  let p4 = Pool.create ~jobs:4 () in
+  List.iter
+    (fun (label, mode) ->
+      let counted pool =
+        Atomic.set prepares 0;
+        let r = run ~pool inc mode in
+        (r, Atomic.get prepares)
+      in
+      let r1, n1 = counted p1 in
+      let r4, n4 = counted p4 in
+      Alcotest.(check int) (label ^ ": one worker prepares once") 1 n1;
+      Alcotest.(check bool) (label ^ ": four workers prepare at most 4 times")
+        true
+        (n4 >= 1 && n4 <= 4);
+      Alcotest.(check (array bool)) (label ^ ": verdicts") r1.Framework.verdicts
+        r4.Framework.verdicts;
+      Alcotest.(check int) (label ^ ": failures") r1.Framework.failures
+        r4.Framework.failures)
+    [
+      ("exhaustive", Framework.Exhaustive);
+      ("sampled", Framework.Sampled { seed = 17; samples = 60 });
+    ];
+  Pool.shutdown p1;
+  Pool.shutdown p4
+
 let () =
   Alcotest.run "incremental"
     [
@@ -434,9 +544,12 @@ let () =
         [
           qt prop_steiner_cache;
           qt prop_maxcut_cache;
+          qt prop_maxcut_stop_at;
           qt prop_mis_cache;
           qt prop_mwis_cache;
           qt prop_nwsteiner_cache;
+          qt prop_nwsteiner_zero_weights;
+          qt prop_nwsteiner_disconnected;
           qt prop_dsteiner_cache;
           qt prop_domset_cache;
         ] );
@@ -446,5 +559,8 @@ let () =
           Alcotest.test_case "aux keying" `Quick test_memo_aux_keying;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "seed derivation" `Quick test_seed_derivation ] );
+        [
+          Alcotest.test_case "seed derivation" `Quick test_seed_derivation;
+          Alcotest.test_case "one prepare per worker" `Quick test_prepare_count;
+        ] );
     ]

@@ -18,7 +18,7 @@ let sp_inner = Obs.span "test.inner"
 let workload pool =
   Obs.with_span sp_outer (fun () ->
       ignore
-        (Pool.parallel_chunks pool ~lo:0 ~hi:64 (fun lo hi ->
+        (Pool.parallel_chunks pool ~lo:0 ~hi:64 (fun ~worker:_ lo hi ->
              for i = lo to hi - 1 do
                Obs.with_span sp_inner (fun () ->
                    Obs.bump c_items;

@@ -55,7 +55,7 @@ let test_parallel_chunks () =
   let pool = Lazy.force pool4 in
   (* per-chunk sums over [0, 10_000) merge to the closed-form total *)
   let sums =
-    Pool.parallel_chunks pool ~lo:0 ~hi:10_000 (fun lo hi ->
+    Pool.parallel_chunks pool ~lo:0 ~hi:10_000 (fun ~worker:_ lo hi ->
         let s = ref 0 in
         for i = lo to hi - 1 do
           s := !s + i
@@ -65,7 +65,8 @@ let test_parallel_chunks () =
   check_int "range sum" (10_000 * 9_999 / 2) (List.fold_left ( + ) 0 sums);
   (* chunk boundaries partition the range in order *)
   let bounds =
-    Pool.parallel_chunks pool ~chunk_size:7 ~lo:3 ~hi:50 (fun lo hi -> (lo, hi))
+    Pool.parallel_chunks pool ~chunk_size:7 ~lo:3 ~hi:50 (fun ~worker:_ lo hi ->
+        (lo, hi))
   in
   let rec contiguous = function
     | (_, hi) :: ((lo, _) :: _ as rest) -> hi = lo && contiguous rest
@@ -75,7 +76,8 @@ let test_parallel_chunks () =
   check "covers lo" true (fst (List.hd bounds) = 3);
   check "covers hi" true (snd (List.nth bounds (List.length bounds - 1)) = 50);
   check "empty range" true
-    (Pool.parallel_chunks pool ~lo:5 ~hi:5 (fun lo hi -> (lo, hi)) = [])
+    (Pool.parallel_chunks pool ~lo:5 ~hi:5 (fun ~worker:_ lo hi -> (lo, hi))
+     = [])
 
 let test_nested_run () =
   (* a nested parallel_map from inside a task falls back to sequential
@@ -96,7 +98,7 @@ let test_exception_propagation () =
   let ran = Atomic.make 0 in
   (match
      Pool.run pool
-       (List.init 100 (fun i _ ->
+       (List.init 100 (fun i ~worker:_ ->
             Atomic.incr ran;
             if i mod 10 = 3 then raise (Boom i)))
    with
@@ -108,6 +110,36 @@ let test_exception_propagation () =
   let xs = List.init 50 Fun.id in
   check "reusable after failure" true
     (Pool.parallel_map pool (fun x -> x * 2) xs = List.map (fun x -> x * 2) xs)
+
+(* Every task learns the worker running it: an index below [jobs], 0
+   throughout a one-worker pool, and never held by two tasks at once —
+   each task claims its worker's flag for the duration and must find it
+   free. *)
+let test_worker_index () =
+  let observe pool =
+    let jobs = Pool.jobs pool in
+    let busy = Array.init jobs (fun _ -> Atomic.make false) in
+    let seen = Array.make 200 (-1) and clashes = Atomic.make 0 in
+    Pool.run pool
+      (List.init 200 (fun i ~worker ->
+           seen.(i) <- worker;
+           if not (Atomic.compare_and_set busy.(worker) false true) then
+             Atomic.incr clashes
+           else begin
+             for _ = 1 to 200 do
+               Domain.cpu_relax ()
+             done;
+             Atomic.set busy.(worker) false
+           end));
+    (seen, Atomic.get clashes)
+  in
+  let seen4, clashes4 = observe (Lazy.force pool4) in
+  check "jobs=4: indices in range" true
+    (Array.for_all (fun w -> w >= 0 && w < 4) seen4);
+  check_int "jobs=4: no index shared by concurrent tasks" 0 clashes4;
+  let seen1, clashes1 = observe (Lazy.force pool1) in
+  check "jobs=1: every task on worker 0" true (Array.for_all (( = ) 0) seen1);
+  check_int "jobs=1: no clash" 0 clashes1
 
 (* ------------------------------------------------------------------ *)
 (* Parallel verification determinism: CH_JOBS=1 vs CH_JOBS=4          *)
@@ -176,6 +208,7 @@ let () =
           Alcotest.test_case "nested run" `Quick test_nested_run;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
+          Alcotest.test_case "worker index" `Quick test_worker_index;
         ] );
       ( "verify",
         [

@@ -425,11 +425,14 @@ let test_cache_snapshot_roundtrip () =
   (match Cache.restore (String.sub snap 0 (String.length snap - 5)) with
   | _ -> Alcotest.fail "truncated restore did not fail"
   | exception Failure _ -> ());
-  (* the same payload under the previous format's tag is refused *)
-  let tl = String.length "chcache3" in
-  (match Cache.restore ("chcache2" ^ String.sub snap tl (String.length snap - tl)) with
-  | _ -> Alcotest.fail "chcache2 restore did not fail"
-  | exception Failure _ -> ());
+  (* the same payload under an older format's tag is refused *)
+  let tl = String.length "chcache4" in
+  List.iter
+    (fun tag ->
+      match Cache.restore (tag ^ String.sub snap tl (String.length snap - tl)) with
+      | _ -> Alcotest.fail (tag ^ " restore did not fail")
+      | exception Failure _ -> ())
+    [ "chcache2"; "chcache3" ];
   Cache.clear ()
 
 (* A snapshot is a function of the memo contents, not of the order the
@@ -453,26 +456,50 @@ let test_snapshot_build_order () =
   Cache.clear ()
 
 (* A memo snapshot of an older format, stored with a valid checksum, is
-   counted corrupt on resume; every block still resumes and the digest
-   is unchanged. *)
+   counted corrupt on resume: none of its tables is restored, the one a
+   later prepare needs is rebuilt, every block still resumes and the
+   digest is unchanged.  The daemon skips the same snapshot at start-up,
+   and seeds from the same payload under the current tag. *)
 let test_old_snapshot_format () =
   let fam = Lazy.force mds_fam in
   let mode = Shard.Exhaustive in
   let shards = 4 in
-  with_temp_dir (fun dir ->
-      let first = Sweep.run ~store_dir:dir fam ~mode ~shards in
-      let st = Store.open_ ~dir ~key:(Sweep.store_key fam ~mode ~shards) in
-      let snap = Cache.snapshot () in
-      let tl = String.length "chcache3" in
-      Store.write_snapshot st ~slot:0
-        ("chcache2" ^ String.sub snap tl (String.length snap - tl));
-      let o = Sweep.run ~store_dir:dir fam ~mode ~shards in
-      Alcotest.(check int) "resumed" shards o.Sweep.shards_resumed;
-      Alcotest.(check int) "recomputed" 0 o.Sweep.shards_recomputed;
-      Alcotest.(check int) "corrupt artifacts" 1 o.Sweep.artifacts_corrupt;
-      Alcotest.(check string) "digest"
-        (Sweep.digest first.Sweep.verdicts)
-        (Sweep.digest o.Sweep.verdicts))
+  (* the snapshot carries one table, so restoring or skipping it shows *)
+  let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
+  let terminals = [ 0; 3 ] in
+  let seeded dir =
+    Cache.clear ();
+    Ch_serve.Warm.tables_seeded (Ch_serve.Warm.create ~store_dir:(Some dir))
+  in
+  List.iter
+    (fun tag ->
+      with_temp_dir (fun dir ->
+          let first = Sweep.run ~store_dir:dir fam ~mode ~shards in
+          let st = Store.open_ ~dir ~key:(Sweep.store_key fam ~mode ~shards) in
+          Cache.clear ();
+          ignore (Cache.nwsteiner_prepare g ~terminals);
+          let snap = Cache.snapshot () in
+          let tl = String.length "chcache4" in
+          let old = tag ^ String.sub snap tl (String.length snap - tl) in
+          Store.write_snapshot st ~slot:0 old;
+          Cache.clear ();
+          let o = Sweep.run ~store_dir:dir fam ~mode ~shards in
+          let check what = Alcotest.(check int) (tag ^ ": " ^ what) in
+          check "resumed" shards o.Sweep.shards_resumed;
+          check "recomputed" 0 o.Sweep.shards_recomputed;
+          check "corrupt artifacts" 1 o.Sweep.artifacts_corrupt;
+          check "tables restored" 0 o.Sweep.tables_restored;
+          check "table rebuilt" 1
+            (Cache.nwsteiner_stats (Cache.nwsteiner_prepare g ~terminals))
+              .Cache.cache_misses;
+          Alcotest.(check string) (tag ^ ": digest")
+            (Sweep.digest first.Sweep.verdicts)
+            (Sweep.digest o.Sweep.verdicts);
+          check "daemon skips it" 0 (seeded dir);
+          Store.write_snapshot st ~slot:0 snap;
+          check "daemon seeds the current tag" 1 (seeded dir)))
+    [ "chcache2"; "chcache3" ];
+  Cache.clear ()
 
 (* The MIS/MWIS tables are filled lazily: a snapshot carries the values
    solved so far, and a prepared instance over a restored table derives
